@@ -257,6 +257,7 @@ class StandDetector:
     def state(self):
         cfg = self.config.to_dict()
         cfg["train_stride"] = self.train_stride
+        cfg["infer_stride"] = self.infer_stride
         return cfg, dict(self.params_)
 
 
@@ -321,7 +322,12 @@ def detector_from_state(kind: str, config: dict, tensors: dict):
     if kind == "stand":
         cfg = dict(config)
         train_stride = int(cfg.pop("train_stride", 2))
-        det = StandDetector(stand_mod.StandConfig(**cfg), train_stride=train_stride)
+        infer_stride = cfg.pop("infer_stride", None)
+        det = StandDetector(
+            stand_mod.StandConfig(**cfg),
+            train_stride=train_stride,
+            infer_stride=None if infer_stride is None else int(infer_stride),
+        )
         det.params_ = tensors
         return det
     raise ConfigError(f"unknown detector kind '{kind}' in checkpoint")

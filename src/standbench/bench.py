@@ -5,8 +5,9 @@ Determinism contract: a config plus its seed list maps to bitwise-identical
 result files. Per-cell randomness is derived as ``base_seed + run_seed`` for
 the synthetic data spec, the detector, and the metric Monte-Carlo baselines.
 Cells are cached under ``<output_dir>/cells/<digest>.json`` keyed only by the
-cell's own inputs, so removing a detector from the config and rerunning
-reuses every other cell, and a crash between cells loses at most one.
+cell's own inputs and ``CACHE_VERSION``, so removing a detector from the config
+and rerunning reuses every other cell, a crash between cells loses at most one,
+and cells cached by code that computed them differently are not reused.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .exceptions import ConfigError, StandbenchError
+from .exceptions import ConfigError, IngestError, StandbenchError
 from .metrics import MetricReport, MetricsConfig, evaluate
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
+# Part of every cell's cache key: bump it whenever a code change can alter a
+# cell's result, so cached cells from older code are recomputed, not reused.
+# Cells cached before the key carried a version count as version 1.
+CACHE_VERSION = 2
 CI_Z = 1.96  # normal-approximation 95% interval over seeds
 
 
@@ -257,6 +262,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
             for detector_entry in config.detectors:
                 for seed in config.seeds:
                     cell_key = {
+                        "version": CACHE_VERSION,
                         "dataset": dataset_entry,
                         "threshold": threshold,
                         "detector": detector_entry,
@@ -491,6 +497,10 @@ def load_fitted(path):
     from .data import NormStats
 
     kind, config, tensors = load_checkpoint(path)
-    stats = NormStats(mean=tensors.pop("norm.mean"), std=tensors.pop("norm.std"))
+    try:
+        stats = NormStats(mean=tensors.pop("norm.mean"), std=tensors.pop("norm.std"))
+        det_config = config["detector"]
+    except (KeyError, TypeError) as exc:
+        raise IngestError(f"{path}: not a fitted-detector checkpoint (missing {exc})") from exc
     det_tensors = {k[len("det."):]: v for k, v in tensors.items()}
-    return detector_from_state(kind, config["detector"], det_tensors), stats
+    return detector_from_state(kind, det_config, det_tensors), stats

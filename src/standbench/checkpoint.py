@@ -37,23 +37,28 @@ def save_checkpoint(path, kind: str, config: dict, tensors: dict[str, np.ndarray
 
 
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Inverse of save_checkpoint; a truncated or corrupt file raises IngestError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise IngestError(f"{path}: not a checkpoint file (bad magic)")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != FORMAT_VERSION:
-            raise IngestError(
-                f"{path}: unsupported checkpoint version {header.get('version')}"
-            )
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            blob = fh.read(hlen)
+            if len(blob) != hlen:
+                raise IngestError(f"{path}: truncated checkpoint header")
+            header = json.loads(blob.decode("utf-8"))
+            version, kind, config = header["version"], header["kind"], header["config"]
+            entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError, KeyError,
+                TypeError) as exc:
+            raise IngestError(f"{path}: corrupt checkpoint header ({exc!r})") from exc
+        if version != FORMAT_VERSION:
+            raise IngestError(f"{path}: unsupported checkpoint version {version}")
         tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise IngestError(f"{path}: truncated payload for tensor '{entry['name']}'")
-            tensors[entry["name"]] = (
-                np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-            )
-    return header["kind"], header["config"], tensors
+                raise IngestError(f"{path}: truncated payload for tensor '{name}'")
+            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return kind, config, tensors

@@ -84,7 +84,7 @@ class WindowSet:
     stride: int
     series_length: int
     starts: np.ndarray  # (N,)
-    values: np.ndarray  # (N, W, C)
+    values: np.ndarray | None  # (N, W, C); None when only the layout is needed
     labels: np.ndarray | None  # (N, W) or None
 
     def __len__(self) -> int:
@@ -312,6 +312,10 @@ def zscore_apply(ds: TimeSeriesDataset, stats: NormStats) -> TimeSeriesDataset:
 
 
 def window_starts(T: int, window: int, stride: int) -> np.ndarray:
+    if not 1 <= window <= T:
+        raise ConfigError(f"window {window} must lie in [1, T={T}]")
+    if not 1 <= stride <= window:
+        raise ConfigError(f"stride {stride} must lie in [1, window={window}]")
     starts = list(range(0, T - window + 1, stride))
     if starts[-1] != T - window:  # tail window so T-1 is always covered
         starts.append(T - window)
@@ -319,10 +323,6 @@ def window_starts(T: int, window: int, stride: int) -> np.ndarray:
 
 
 def make_windows(ds: TimeSeriesDataset, window: int, stride: int) -> WindowSet:
-    if not 1 <= window <= ds.length:
-        raise ConfigError(f"window {window} must lie in [1, T={ds.length}]")
-    if not 1 <= stride <= window:
-        raise ConfigError(f"stride {stride} must lie in [1, window={window}]")
     starts = window_starts(ds.length, window, stride)
     vals = np.stack([ds.values[s : s + window] for s in starts])
     labs = np.stack([ds.labels[s : s + window] for s in starts]) if ds.labeled else None
@@ -350,9 +350,11 @@ def reassemble(ws: WindowSet, window_scores: np.ndarray) -> np.ndarray:
         )
     total = np.zeros(ws.series_length)
     count = np.zeros(ws.series_length)
-    for s, row in zip(ws.starts, window_scores):
-        total[s : s + ws.window] += row
-        count[s : s + ws.window] += 1.0
+    # descending offsets add each timestep's windows in ascending start order,
+    # the order a window-by-window loop uses, so the sums are bitwise the same
+    for j in range(ws.window - 1, -1, -1):
+        total[ws.starts + j] += window_scores[:, j]
+        count[ws.starts + j] += 1.0
     return total / count
 
 

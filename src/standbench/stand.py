@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .data import WindowSet, make_windows, reassemble, TimeSeriesDataset
+from .data import WindowSet, reassemble, window_starts
 from .exceptions import ConfigError, ContractError
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
 
@@ -147,38 +147,43 @@ class _EmbedLayerCache:
 
 
 @dataclass
-class _DirCache:
-    x: np.ndarray  # direction input in processing order (B, T, in)
-    gates: np.ndarray  # (B, T, 4d) activations in [i, f, g, o] order
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
+class _LstmCache:
+    """One layer, all directions, step-major: row s of a (W, D, B, .) array is
+    step s of each direction in its own processing order (the backward
+    direction's step s reads timestep W-1-s)."""
+
+    x: np.ndarray  # layer input (B, W, in), natural time order
+    gates: np.ndarray  # (W, D, B, 4d) activations in [i, f, g, o] order
+    c: np.ndarray  # (W+1, D, B, d); row 0 is the zero initial state
+    tanh_c: np.ndarray  # (W, D, B, d)
+    h: np.ndarray  # (W+1, D, B, d); row 0 is the zero initial state
 
 
 def _gate_activations(z, d):
-    """In-place gate nonlinearities on a (B, 4d) pre-activation block.
+    """In-place gate nonlinearities on a (..., 4d) pre-activation block.
 
     Sigmoid is evaluated as 0.5*(1 + tanh(z/2)) (identical function, saturates
     without overflow) so one tanh call covers all four gates.
     """
-    z[:, : 2 * d] *= 0.5
-    z[:, 3 * d :] *= 0.5
+    z[..., : 2 * d] *= 0.5
+    z[..., 3 * d :] *= 0.5
     np.tanh(z, out=z)
-    z[:, : 2 * d] += 1.0
-    z[:, : 2 * d] *= 0.5
-    z[:, 3 * d :] += 1.0
-    z[:, 3 * d :] *= 0.5
-    return z[:, :d], z[:, d : 2 * d], z[:, 2 * d : 3 * d], z[:, 3 * d :]
+    z[..., : 2 * d] += 1.0
+    z[..., : 2 * d] *= 0.5
+    z[..., 3 * d :] += 1.0
+    z[..., 3 * d :] *= 0.5
+    return z[..., :d], z[..., d : 2 * d], z[..., 2 * d : 3 * d], z[..., 3 * d :]
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, cached batched as (B, T, ...)."""
+    """Everything the backward pass needs: embedding caches batched as
+    (B, T, ...), LSTM caches step-major as (T, D, B, ...)."""
 
     x: np.ndarray
     embed: list[_EmbedLayerCache]
     h_embed: np.ndarray
-    lstm: list[dict[str, _DirCache]]
+    lstm: list[_LstmCache]
     h_enc: np.ndarray
     logits: np.ndarray  # (B, T)
 
@@ -193,34 +198,96 @@ def _embed_layer_forward(x, w, b, gain, beta):
     return xhat * gain + beta, _EmbedLayerCache(x=x, a=a, g=g, xhat=xhat, inv_std=inv_std)
 
 
-def _lstm_dir_forward(x, w_ih, w_hh, b) -> tuple[np.ndarray, _DirCache]:
-    B, T, _ = x.shape
-    d = w_hh.shape[1]
-    zx = x @ w_ih.T + b  # input contributions for every step at once
-    h_t = np.zeros((B, d))
-    c_t = np.zeros((B, d))
-    w_hh_t = np.ascontiguousarray(w_hh.T)
-    # per-step rows are collected and stacked once; bulk copies stay cheap
-    # while scattered per-step writes into (B, T, .) arrays do not
-    gate_rows, c_rows, tc_rows, h_rows = [], [], [], []
-    for t in range(T):
-        z = zx[:, t] + h_t @ w_hh_t
+def _embed(x, params, config: StandConfig):
+    """Per-timestep embedding MLP over (..., C); identity when use_embedding=false."""
+    caches = []
+    if config.use_embedding:
+        for layer in range(config.mlp_layers):
+            x, cache = _embed_layer_forward(
+                x, *(params[f"embed.{layer}.{name}"] for name in ("w", "b", "gain", "beta"))
+            )
+            caches.append(cache)
+    return x, caches
+
+
+def _lstm_keys(layer: int, config: StandConfig) -> list[str]:
+    return [f"lstm.{layer}.{direction}" for direction in config.directions]
+
+
+def _project(x, keys, params):
+    """Input projection of every direction: (..., in) -> (..., D, 4d)."""
+    out = np.empty(x.shape[:-1] + (len(keys), len(params[keys[0] + ".b"])))
+    for k, key in enumerate(keys):
+        np.add(x @ params[key + ".w_ih"].T, params[key + ".b"], out=out[..., k, :])
+    return out
+
+
+def _step_rows(W: int, D: int, starts) -> np.ndarray:
+    """(W, D, B) input row that each direction reads at each step: the forward
+    direction's step s reads row start+s, the backward one's start+W-1-s."""
+    s = np.arange(W)
+    return np.stack((s, W - 1 - s)[:D], axis=1)[:, :, None] + starts
+
+
+def _lstm_recurrence(proj, rows, w_hh_t, keep: bool):
+    """One time loop over every direction of a layer, one stacked matmul per step.
+
+    ``proj`` (N, D, 4d) holds input projections, and step s of direction k
+    for window b reads row ``rows[s, k, b]``; ``w_hh_t`` (D, d, 4d) holds the
+    transposed recurrent weights. Returns the layer output (B, W, D*d) in
+    natural time order and the step-major caches (gates, c, tanh_c, h): gates
+    (W, D, B, 4d), tanh_c (W, D, B, d), c and h (W+1, D, B, d) with a zero
+    row 0. Without ``keep`` the caches hold only the latest step, so no
+    (W, D, B, .) array is allocated.
+    """
+    W, D, B = rows.shape
+    d4 = proj.shape[-1]
+    d = d4 // 4
+    dirs = np.arange(D)[:, None]
+    out_rows = _step_rows(W, D, np.arange(0, B * W, W))
+    n = W if keep else 1
+    gates = np.empty((n, D, B, d4))
+    tanh_c = np.empty((n, D, B, d))
+    c = np.zeros((n + 1, D, B, d))
+    h = np.zeros((n + 1, D, B, d))
+    rec = np.empty((D, B, d4))
+    out = np.empty((B * W, D, d))
+    for s in range(W):
+        prev, cur = s % (n + 1), (s + 1) % (n + 1)
+        z = gates[s % n]
+        np.add(proj[rows[s], dirs], np.matmul(h[prev], w_hh_t, out=rec), out=z)
         i_t, f_t, g_t, o_t = _gate_activations(z, d)
-        c_t = f_t * c_t + i_t * g_t
-        tc_t = np.tanh(c_t)
-        h_t = o_t * tc_t
-        gate_rows.append(z)
-        c_rows.append(c_t)
-        tc_rows.append(tc_t)
-        h_rows.append(h_t)
-    h = np.stack(h_rows, axis=1)
-    return h, _DirCache(
-        x=x,
-        gates=np.stack(gate_rows, axis=1),
-        c=np.stack(c_rows, axis=1),
-        tanh_c=np.stack(tc_rows, axis=1),
-        h=h,
-    )
+        c_t, tc_t = c[cur], tanh_c[s % n]
+        np.multiply(f_t, c[prev], out=c_t)
+        c_t += i_t * g_t
+        np.tanh(c_t, out=tc_t)
+        np.multiply(o_t, tc_t, out=h[cur])
+        out[out_rows[s], dirs] = h[cur]
+    return out.reshape(B, W, D * d), (gates, c, tanh_c, h)
+
+
+def _lstm_stack(h, params, config: StandConfig, keep: bool, proj=None, rows=None):
+    """LSTM layers over batch-major windows h (B, W, in) -> ((B, W, D*d), caches).
+
+    ``proj`` (N, D, 4d) and ``rows`` (W, D, B) stand in for layer 0's input
+    projection and the rows its steps read: ``infer`` projects a whole series
+    once, and passes no ``h``.
+    """
+    caches: list[_LstmCache] = []
+    for layer in range(config.tem_layers):
+        keys = _lstm_keys(layer, config)
+        if proj is None:
+            B, W = h.shape[:2]
+            proj = _project(h, keys, params).reshape(B * W, len(keys), -1)
+            rows = _step_rows(W, len(keys), np.arange(0, B * W, W))
+        # C-contiguous: a transposed operand takes a BLAS path whose rounding
+        # depends on the batch size, which would break batch-grouping invariance
+        w_hh_t = np.stack([np.ascontiguousarray(params[key + ".w_hh"].T) for key in keys])
+        out, (gates, c, tanh_c, steps) = _lstm_recurrence(proj, rows, w_hh_t, keep)
+        if keep:
+            caches.append(_LstmCache(x=h, gates=gates, c=c, tanh_c=tanh_c, h=steps))
+        h, proj = out, None
+    return h, caches
 
 
 def forward_batch(
@@ -230,38 +297,10 @@ def forward_batch(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != config.input_channels:
         raise ConfigError(f"expected input (B, T, {config.input_channels}), got {x.shape}")
-
-    h = x
-    embed_caches: list[_EmbedLayerCache] = []
-    if config.use_embedding:
-        for layer in range(config.mlp_layers):
-            h, cache = _embed_layer_forward(
-                h,
-                params[f"embed.{layer}.w"],
-                params[f"embed.{layer}.b"],
-                params[f"embed.{layer}.gain"],
-                params[f"embed.{layer}.beta"],
-            )
-            embed_caches.append(cache)
-    h_embed = h
-
-    lstm_caches: list[dict[str, _DirCache]] = []
+    h_embed, embed_caches = _embed(x, params, config)
+    h_enc, lstm_caches = h_embed, []
     if config.use_tem:
-        for layer in range(config.tem_layers):
-            caches: dict[str, _DirCache] = {}
-            outs = []
-            for direction in config.directions:
-                key = f"lstm.{layer}.{direction}"
-                inp = h if direction == "fwd" else h[:, ::-1]
-                out, cache = _lstm_dir_forward(
-                    inp, params[key + ".w_ih"], params[key + ".w_hh"], params[key + ".b"]
-                )
-                caches[direction] = cache
-                outs.append(out if direction == "fwd" else out[:, ::-1])
-            h = np.concatenate(outs, axis=-1) if len(outs) > 1 else outs[0]
-            lstm_caches.append(caches)
-    h_enc = h
-
+        h_enc, lstm_caches = _lstm_stack(h_embed, params, config, keep=True)
     logits = h_enc @ params["head.w"] + params["head.b"][0]
     return logits, ForwardTrace(
         x=x, embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits
@@ -272,18 +311,7 @@ def embed_forward(x_seq, params, config: StandConfig):
     """Per-timestep MLP embedding of one (T, C) sequence: affine -> GELU -> LayerNorm."""
     if not config.use_embedding:
         raise ConfigError("embed_forward requires use_embedding=true")
-    x = np.asarray(x_seq, dtype=np.float64)[None]
-    h = x
-    caches = []
-    for layer in range(config.mlp_layers):
-        h, cache = _embed_layer_forward(
-            h,
-            params[f"embed.{layer}.w"],
-            params[f"embed.{layer}.b"],
-            params[f"embed.{layer}.gain"],
-            params[f"embed.{layer}.beta"],
-        )
-        caches.append(cache)
+    h, caches = _embed(np.asarray(x_seq, dtype=np.float64)[None], params, config)
     return h[0], caches
 
 
@@ -292,20 +320,7 @@ def bilstm_forward(h_e, params, config: StandConfig):
     h = np.asarray(h_e, dtype=np.float64)[None]
     if not config.use_tem:
         return h[0], []
-    caches = []
-    for layer in range(config.tem_layers):
-        layer_caches = {}
-        outs = []
-        for direction in config.directions:
-            key = f"lstm.{layer}.{direction}"
-            inp = h if direction == "fwd" else h[:, ::-1]
-            out, cache = _lstm_dir_forward(
-                inp, params[key + ".w_ih"], params[key + ".w_hh"], params[key + ".b"]
-            )
-            layer_caches[direction] = cache
-            outs.append(out if direction == "fwd" else out[:, ::-1])
-        h = np.concatenate(outs, axis=-1) if len(outs) > 1 else outs[0]
-        caches.append(layer_caches)
+    h, caches = _lstm_stack(h, params, config, keep=True)
     return h[0], caches
 
 
@@ -354,34 +369,34 @@ def _layernorm_backward(dy, cache: _EmbedLayerCache, gain):
     return dg, dgain, dbeta
 
 
-def _lstm_dir_backward(cache: _DirCache, dh_out, w_ih, w_hh):
-    B, T, d = dh_out.shape
-    dz_all = np.empty((B, T, 4 * d))
-    dh_rec = np.zeros((B, d))
-    dc_rec = np.zeros((B, d))
-    for t in range(T - 1, -1, -1):
-        dh = dh_out[:, t] + dh_rec
-        tc = cache.tanh_c[:, t]
-        step = cache.gates[:, t]
-        i_t, f_t = step[:, :d], step[:, d : 2 * d]
-        g_t, o_t = step[:, 2 * d : 3 * d], step[:, 3 * d :]
+def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh):
+    """BPTT through ``_lstm_recurrence`` for every direction at once.
+
+    ``dh_steps`` (W, D, B, d) is the loss gradient of each step's output and
+    ``w_hh`` (D, 4d, d) the recurrent weights. Returns the gate pre-activation
+    gradients dz (D, B, W, 4d), batch-major with each direction's steps in its
+    processing order, so the weight-gradient sums run over (batch, step).
+    """
+    W, D, B, d = dh_steps.shape
+    dz_all = np.empty((D, B, W, 4 * d))
+    dh_rec = np.zeros((D, B, d))
+    dc_rec = np.zeros((D, B, d))
+    for s in range(W - 1, -1, -1):
+        dh = dh_steps[s] + dh_rec
+        tc = cache.tanh_c[s]
+        step = cache.gates[s]
+        i_t, f_t = step[..., :d], step[..., d : 2 * d]
+        g_t, o_t = step[..., 2 * d : 3 * d], step[..., 3 * d :]
         do = dh * tc
         dc = dh * o_t * (1.0 - tc * tc) + dc_rec
-        c_prev = cache.c[:, t - 1] if t > 0 else np.zeros((B, d))
-        dz = dz_all[:, t]
-        dz[:, :d] = dc * g_t * i_t * (1.0 - i_t)
-        dz[:, d : 2 * d] = dc * c_prev * f_t * (1.0 - f_t)
-        dz[:, 2 * d : 3 * d] = dc * i_t * (1.0 - g_t * g_t)
-        dz[:, 3 * d :] = do * o_t * (1.0 - o_t)
-        dh_rec = dz @ w_hh
+        dz = dz_all[:, :, s]
+        dz[..., :d] = dc * g_t * i_t * (1.0 - i_t)
+        dz[..., d : 2 * d] = dc * cache.c[s] * f_t * (1.0 - f_t)
+        dz[..., 2 * d : 3 * d] = dc * i_t * (1.0 - g_t * g_t)
+        dz[..., 3 * d :] = do * o_t * (1.0 - o_t)
+        dh_rec = np.matmul(dz, w_hh)
         dc_rec = dc * f_t
-    h_prev = np.concatenate([np.zeros((B, 1, d)), cache.h[:, :-1]], axis=1)
-    dz_flat = dz_all.reshape(B * T, 4 * d)
-    dw_ih = dz_flat.T @ cache.x.reshape(B * T, -1)
-    dw_hh = dz_flat.T @ h_prev.reshape(B * T, d)
-    db = dz_flat.sum(axis=0)
-    dx = dz_all @ w_ih
-    return dx, dw_ih, dw_hh, db
+    return dz_all
 
 
 def backward(
@@ -403,25 +418,25 @@ def backward(
     dh = dlogits[..., None] * params["head.w"]
 
     if config.use_tem:
-        d = config.d_model
+        rows = _step_rows(T, len(config.directions), np.arange(0, B * T, T))
         for layer in range(config.tem_layers - 1, -1, -1):
-            caches = trace.lstm[layer]
-            dx_total = None
-            for k, direction in enumerate(config.directions):
-                key = f"lstm.{layer}.{direction}"
-                dh_dir = dh[..., k * d : (k + 1) * d]
-                if direction == "bwd":
-                    dh_dir = dh_dir[:, ::-1]
-                dx, dw_ih, dw_hh, db = _lstm_dir_backward(
-                    caches[direction], dh_dir, params[key + ".w_ih"], params[key + ".w_hh"]
-                )
-                if direction == "bwd":
-                    dx = dx[:, ::-1]
-                grads[key + ".w_ih"] = dw_ih
-                grads[key + ".w_hh"] = dw_hh
-                grads[key + ".b"] = db
-                dx_total = dx if dx_total is None else dx_total + dx
-            dh = dx_total
+            cache = trace.lstm[layer]
+            keys = _lstm_keys(layer, config)
+            dh_steps = dh.reshape(B * T, len(keys), -1)[rows, np.arange(len(keys))[:, None]]
+            dz_all = _lstm_recurrence_backward(
+                cache, dh_steps, np.stack([params[key + ".w_hh"] for key in keys])
+            )
+            dh = None
+            for k, key in enumerate(keys):
+                dz = dz_all[k]
+                dz_flat = dz.reshape(B * T, -1)
+                x = cache.x if k == 0 else cache.x[:, ::-1]
+                h_prev = cache.h[:-1, k].transpose(1, 0, 2)
+                grads[key + ".w_ih"] = dz_flat.T @ x.reshape(B * T, -1)
+                grads[key + ".w_hh"] = dz_flat.T @ h_prev.reshape(B * T, -1)
+                grads[key + ".b"] = dz_flat.sum(axis=0)
+                dx = dz @ params[key + ".w_ih"]
+                dh = dx if k == 0 else dh + dx[:, ::-1]
 
     if config.use_embedding:
         for layer in range(config.mlp_layers - 1, -1, -1):
@@ -573,20 +588,34 @@ def infer(
     """Score a full (T, C) series: windowed forward, logits averaged per timestep.
 
     Returns logits; apply a sigmoid for the probability view. The default
-    stride W/2 overlaps windows, which smooths scores at window seams.
+    stride W/2 overlaps windows, which smooths scores at window seams. Each
+    timestep is embedded and projected into the first LSTM layer once; the
+    windows read those rows by index, and no backward trace is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
         raise ConfigError(
             f"series has shape {x.shape}, expected (T, {config.input_channels})"
         )
-    ds = TimeSeriesDataset(name="infer", values=x)
-    stride = stride if stride is not None else max(1, config.window // 2)
-    ws = make_windows(ds, config.window, stride)
-    rows = np.empty((len(ws), config.window))
-    for lo in range(0, len(ws), batch_size):
-        logits, _ = forward_batch(ws.values[lo : lo + batch_size], params, config)
-        rows[lo : lo + len(logits)] = logits
+    W = config.window
+    stride = stride if stride is not None else max(1, W // 2)
+    starts = window_starts(len(x), W, stride)
+    h, _ = _embed(x, params, config)
+    if config.use_tem:
+        # the whole series, so no projected row depends on batch_size
+        proj = _project(h, _lstm_keys(0, config), params)
+    rows = np.empty((len(starts), W))
+    for lo in range(0, len(starts), batch_size):
+        batch = starts[lo : lo + batch_size]
+        if config.use_tem:
+            rows_b = _step_rows(W, len(config.directions), batch)
+            h_enc, _ = _lstm_stack(None, params, config, keep=False, proj=proj, rows=rows_b)
+        else:
+            h_enc = h[batch[:, None] + np.arange(W)]
+        # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
+        rows[lo : lo + len(batch)] = h_enc @ params["head.w"] + params["head.b"][0]
+    ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
+                   values=None, labels=None)
     return reassemble(ws, rows)
 
 

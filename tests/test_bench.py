@@ -1,13 +1,15 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from standbench import bench, cli
+from standbench import baselines, bench, checkpoint, cli
 from standbench.bench import ExperimentConfig, ResultsTable
-from standbench.data import SyntheticSpec, generate_synthetic, write_csv
-from standbench.exceptions import ConfigError
+from standbench.data import (SyntheticSpec, generate_synthetic, write_csv, zscore_apply,
+                             zscore_fit)
+from standbench.exceptions import ConfigError, IngestError
 from standbench.metrics import MetricReport
 
 
@@ -309,3 +311,90 @@ class TestCli:
             assert cli.main(["bench", "--config", str(cfg_path)]) == 0
             texts.append(open(os.path.join(cfg.output_dir, "mini_results.json")).read())
         assert texts[0] == texts[1]
+
+
+class TestCacheVersion:
+    def test_version_bump_recomputes_cells(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}])
+        cells_dir = os.path.join(cfg.output_dir, "cells")
+        bench.run_experiment(cfg)
+        before = set(os.listdir(cells_dir))
+        bench.run_experiment(cfg)
+        assert set(os.listdir(cells_dir)) == before
+        monkeypatch.setattr(bench, "CACHE_VERSION", bench.CACHE_VERSION + 1)
+        bench.run_experiment(cfg)
+        after = set(os.listdir(cells_dir))
+        assert before < after and len(after) == 2 * len(before)
+
+
+def fit_every_kind(train_vals, train_labels):
+    entries = [
+        {"kind": "random", "seed": 4},
+        {"kind": "pca", "rank": 2},
+        {"kind": "knn", "k": 3},
+        {"kind": "kmeans", "n_clusters": 4, "seed": 1},
+        {"kind": "logreg", "epochs": 50},
+        # a non-default stride: a checkpoint that dropped it would score at W/2
+        {"kind": "stand", "input_channels": 3, "d_model": 6, "window": 12,
+         "epochs": 2, "batch_size": 32, "infer_stride": 1},
+    ]
+    for entry in entries:
+        entry = dict(entry)
+        det = baselines.build_detector(entry.pop("kind"), **entry)
+        if det.supervision == baselines.STAD:
+            det.fit(train_vals, train_labels)
+        else:
+            det.fit(train_vals)
+        yield det
+
+
+class TestFittedCheckpoint:
+    def test_loaded_detector_scores_bitwise_like_in_memory(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        stats = zscore_fit(ds, (0, 300))
+        norm = zscore_apply(ds, stats)
+        kinds = set()
+        for det in fit_every_kind(norm.values[:300], norm.labels[:300]):
+            path = tmp_path / f"{det.kind}.ckpt"
+            bench.save_fitted(path, det, stats)
+            loaded, loaded_stats = bench.load_fitted(path)
+            assert loaded.kind == det.kind
+            assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+            a = det.score(norm.values[300:])
+            b = loaded.score(zscore_apply(ds, loaded_stats).values[300:])
+            assert a.tobytes() == b.tobytes(), det.kind
+            kinds.add(det.kind)
+        assert kinds == set(baselines.DETECTOR_KINDS)
+
+    def test_truncated_checkpoint_is_ingest_error(self, tmp_path):
+        ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        data_path = tmp_path / "data.csv"
+        write_csv(ds, data_path)
+        det = baselines.build_detector("pca", rank=2).fit(ds.values[:300])
+        model = tmp_path / "model.ckpt"
+        bench.save_fitted(model, det, zscore_fit(ds, (0, 300)))
+        blob = model.read_bytes()
+        hlen = int.from_bytes(blob[4:8], "little")
+        # inside the magic, the length field, the header, at its end, inside the payload
+        for cut in (2, 6, 8, 8 + hlen // 2, 8 + hlen, 8 + hlen + 12, len(blob) - 1):
+            bad = tmp_path / f"cut{cut}.ckpt"
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(IngestError):
+                bench.load_fitted(bad)
+            assert cli.main(["score", "--model", str(bad), "--data", str(data_path),
+                             "--out", str(tmp_path / "s.csv")]) == 2
+
+    @pytest.mark.parametrize("header", [b'{"version": 1}', b"\xff\xfe", b"[1, 2]",
+                                        b'{"version": 1, "kind": "pca", "config": {},'
+                                        b' "tensors": [{"name": "x"}]}'])
+    def test_corrupt_header_is_ingest_error(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(header)) + header)
+        with pytest.raises(IngestError):
+            checkpoint.load_checkpoint(path)
+
+    def test_checkpoint_without_normalization_is_ingest_error(self, tmp_path):
+        path = tmp_path / "plain.ckpt"
+        checkpoint.save_checkpoint(path, "random", {"seed": 0}, {})
+        with pytest.raises(IngestError):
+            bench.load_fitted(path)
