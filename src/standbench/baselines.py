@@ -83,17 +83,24 @@ class PcaDetector:
         return {"rank": self.rank}, {"mean": self.mean_, "components": self.components_}
 
 
+# Query rows per distance GEMM. The row count decides how OpenBLAS splits the
+# product, and so the last bits of the scores: keep it fixed.
+KNN_GEMM_ROWS = 2048
+# Query rows per distance assembly, clamp and partition: a slice of the
+# cross product small enough to stay in cache.
+KNN_SLICE_ROWS = 128
+
+
 class KnnDetector:
     """Mean Euclidean distance to the k nearest stored training vectors."""
 
     kind = "knn"
     supervision = UTAD
 
-    def __init__(self, k: int = 5, chunk: int = 2048):
+    def __init__(self, k: int = 5):
         if k < 1:
             raise ConfigError("knn needs k >= 1")
         self.k = k
-        self.chunk = chunk
         self.train_ = None
 
     def fit(self, values, labels=None):
@@ -112,12 +119,18 @@ class KnnDetector:
         train = self.train_
         t_sq = np.sum(train**2, axis=1)
         out = np.empty(len(q))
-        for lo in range(0, len(q), self.chunk):
-            block = q[lo : lo + self.chunk]
-            d_sq = np.sum(block**2, axis=1)[:, None] + t_sq[None, :] - 2.0 * block @ train.T
-            np.maximum(d_sq, 0.0, out=d_sq)
-            nearest = np.partition(d_sq, self.k - 1, axis=1)[:, : self.k]
-            out[lo : lo + len(block)] = np.sqrt(nearest).mean(axis=1)
+        cross = np.empty((min(len(q), KNN_GEMM_ROWS), len(train)))  # reused by every block
+        for lo in range(0, len(q), KNN_GEMM_ROWS):
+            block = q[lo : lo + KNN_GEMM_ROWS]
+            q_sq = np.sum(block**2, axis=1)
+            d_sq = np.matmul(2.0 * block, train.T, out=cross[: len(block)])
+            for s in range(0, len(block), KNN_SLICE_ROWS):
+                part = d_sq[s : s + KNN_SLICE_ROWS]
+                # |q|^2 + |t|^2 - 2 q.t, clamped at 0, written over the cross product
+                np.subtract(q_sq[s : s + KNN_SLICE_ROWS, None] + t_sq, part, out=part)
+                np.maximum(part, 0.0, out=part)
+                nearest = np.partition(part, self.k - 1, axis=1)[:, : self.k]
+                out[lo + s : lo + s + len(part)] = np.sqrt(nearest).mean(axis=1)
         return out
 
     def state(self):

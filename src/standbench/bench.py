@@ -37,7 +37,7 @@ METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
 # Part of every cell's cache key: bump it whenever a code change can alter a
 # cell's result, so cached cells from older code are recomputed, not reused.
 # Cells cached before the key carried a version count as version 1.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 CI_Z = 1.96  # normal-approximation 95% interval over seeds
 
 
@@ -257,6 +257,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     table = ResultsTable(name=config.name)
     had_failures = False
     for dataset_entry in config.datasets:
+        series = _SeriesCache(dataset_entry)
         for threshold in config.split_thresholds:
             subset = f"{dataset_label(dataset_entry)}@{threshold:g}"
             for detector_entry in config.detectors:
@@ -276,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                             record = CellRecord.from_dict(json.load(fh))
                     else:
                         record = _compute_cell(
-                            dataset_entry, subset, threshold, detector_entry, seed, config
+                            series, subset, threshold, detector_entry, seed, config
                         )
                         _atomic_write(
                             path, json.dumps(record.to_dict(), sort_keys=True, indent=1)
@@ -287,15 +288,46 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     return table, had_failures
 
 
-def _compute_cell(dataset_entry, subset, threshold, detector_entry, seed, config) -> CellRecord:
+class _SeriesCache:
+    """One dataset entry's series per run seed, materialized on first use.
+
+    Every cell of a (dataset entry, seed) reads the same arrays, so they are
+    made read-only: a cell that tried to write into them would change the
+    input of the cells after it.
+    """
+
+    def __init__(self, entry: dict):
+        self.entry = entry
+        self._by_seed: dict[int, TimeSeriesDataset] = {}
+
+    def get(self, seed: int) -> TimeSeriesDataset:
+        if seed not in self._by_seed:
+            ds = materialize_dataset(self.entry, seed)
+            for array in (ds.values, ds.labels):
+                if array is not None:
+                    array.flags.writeable = False
+            self._by_seed[seed] = ds
+        return self._by_seed[seed]
+
+
+# Numerical failures of one cell's detector or metrics: recorded as that
+# cell's failure, like a StandbenchError, so the rest of the grid still runs.
+_NUMERIC_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
+
+
+def _compute_cell(series: _SeriesCache, subset, threshold, detector_entry, seed,
+                  config) -> CellRecord:
     label = detector_label(detector_entry)
     try:
-        ds = materialize_dataset(dataset_entry, seed)
+        ds = series.get(seed)
         report = run_cell(ds, threshold, detector_entry, seed, config.metrics, config.fair_eval)
         report.metadata["dataset"] = subset
         return CellRecord(detector=label, dataset=subset, seed=seed, report=report)
     except StandbenchError as exc:
         return CellRecord(detector=label, dataset=subset, seed=seed, error=str(exc))
+    except _NUMERIC_ERRORS as exc:
+        return CellRecord(detector=label, dataset=subset, seed=seed,
+                          error=f"{type(exc).__name__}: {exc}")
 
 
 def write_table(table: ResultsTable, output_dir: str) -> dict[str, str]:

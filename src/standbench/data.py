@@ -187,8 +187,9 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
     """Load a header-ed CSV with one column per channel.
 
     The column named by ``label_column`` (when present) becomes the 0/1 label
-    sequence; all other columns must parse as real numbers. Malformed input
-    raises :class:`IngestError` naming the offending row and column.
+    sequence; all other columns must parse as finite real numbers. Malformed
+    input (``nan`` and ``inf`` included) raises :class:`IngestError` naming
+    the offending row and column.
     """
     path = os.fspath(path)
     if not os.path.exists(path):
@@ -236,10 +237,18 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
             rows.append(vals)
     if not rows:
         raise IngestError(f"{path}: no data rows")
+    values = np.vstack(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        r, j = bad[0]
+        raise IngestError(
+            f"{path}: row {r + 2}, column '{header[chan_idx[j]]}': "
+            f"non-finite cell {float(values[r, j])!r}"
+        )
     name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeriesDataset(
         name=name,
-        values=np.vstack(rows),
+        values=values,
         labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
     )
 

@@ -21,6 +21,7 @@ from .ndcore import make_rng
 
 DEFAULT_BUFFER_MAX = 8  # default window 32 / 4
 DEFAULT_MC_DRAWS = 32
+MC_BLOCK_STEPS = 1 << 17  # timesteps of chance-baseline draws scored at once
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +104,16 @@ def best_f1(scores, labels) -> tuple[float, float]:
         raise ConfigError("scores and labels must have equal length")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-    total_pos = int(y.sum())
-    cum_tp = np.cumsum(y_sorted)
+    cum_tp = np.cumsum(y[order])
     # prefix of size k = points with score > tau, where tau is the next
     # distinct value below the prefix; the empty prefix (tau = max) scores 0.
-    boundary = np.flatnonzero(np.diff(s_sorted) != 0)  # last index of each tie group
-    ks = boundary + 1
-    best = 0.0
-    best_tau = float(s_sorted[0])  # empty prediction at tau = max score
-    for k in ks:
-        f1 = 200.0 * cum_tp[k - 1] / (k + total_pos)
-        # the tau realizing this prefix is the next (smaller) distinct value
-        tau = float(s_sorted[k])
-        if f1 > best or (f1 == best and tau < best_tau):
-            best = f1
-            best_tau = tau
-    return best, best_tau
+    ks = np.flatnonzero(np.diff(s_sorted) != 0) + 1  # one past each tie group
+    if len(ks) == 0:  # all scores equal: only the empty prediction
+        return 0.0, float(s_sorted[0])
+    f1 = 200.0 * cum_tp[ks - 1] / (ks + int(y.sum()))
+    # tau falls as k grows, so the smallest tau reaching the max is the last one
+    best = len(f1) - 1 - int(np.argmax(f1[::-1]))
+    return float(f1[best]), float(s_sorted[ks[best]])
 
 
 def auc_roc(scores, labels) -> float:
@@ -127,16 +121,12 @@ def auc_roc(scores, labels) -> float:
     s = np.asarray(scores, dtype=np.float64)
     y = _check_two_classes(labels)
     order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s))
     sorted_s = s[order]
-    # midranks over tie groups
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie group [i, j] of the sorted scores shares the midrank 0.5*(i+j) + 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_s[1:] != sorted_s[:-1])))
+    last = np.append(first[1:], len(s)) - 1
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = len(y) - n_pos
@@ -159,33 +149,117 @@ def _zone_bounds(events: EventSet) -> list[tuple[int, int]]:
     return [(bounds[j], bounds[j + 1]) for j in range(len(ivs))]
 
 
-def _dist_to_interval(points: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Distance from each timestep to the nearest member of [start, end)."""
-    return np.where(
-        points < start, start - points, np.where(points >= end, points - (end - 1), 0)
-    ).astype(np.float64)
-
-
-def _dist_to_points(lo: int, hi: int, pts: np.ndarray) -> np.ndarray:
-    """Distance of every timestep in [lo, hi) to the nearest of ``pts`` (sorted)."""
-    u = np.arange(lo, hi)
-    if len(pts) == 0:
-        return np.full(hi - lo, np.inf)
-    idx = np.searchsorted(pts, u)
-    left = np.where(idx > 0, u - pts[np.clip(idx - 1, 0, len(pts) - 1)], np.inf)
-    right = np.where(idx < len(pts), pts[np.clip(idx, 0, len(pts) - 1)] - u, np.inf)
-    return np.minimum(left, right).astype(np.float64)
-
-
-def _as_predicted_points(pred, T: int) -> np.ndarray:
+def _as_predicted_mask(pred, T: int) -> np.ndarray:
     if isinstance(pred, EventSet):
         if pred.length != T:
             raise ConfigError("predicted EventSet length does not match T")
-        return np.flatnonzero(pred.to_labels())
+        return pred.to_labels() != 0
     p = np.asarray(pred, dtype=np.int64)
     if p.shape != (T,):
         raise ConfigError(f"prediction must be a length-{T} 0/1 sequence or an EventSet")
-    return np.flatnonzero(p)
+    return p != 0
+
+
+class _Zones:
+    """Per-timestep zone-of-influence geometry of a truth event set.
+
+    Zone z covers [lo_z, hi_z), n_z = hi_z - lo_z timesteps, and owns the
+    n_z + 1 counting bins from ``lo_z + z`` on (distances 0..n_z-1, plus one
+    for "no prediction in the zone"), so one ``bincount`` counts the
+    distances of every zone at once. Precision survival depends only on the
+    truth, so it is computed here once for every timestep and shared by all
+    predictions scored against it.
+    """
+
+    def __init__(self, truth: EventSet):
+        if len(truth) == 0:
+            raise MetricError("affiliation metrics need a non-empty truth event set")
+        T = truth.length
+        self.edges = [lo for lo, _ in _zone_bounds(truth)] + [T]
+        zone = np.repeat(np.arange(len(truth)), np.diff(self.edges))
+        edges = np.asarray(self.edges)
+        lo = edges[zone]
+        self.n = edges[zone + 1] - lo
+        self.base = lo + zone
+        self.bins = T + len(truth)
+        t = np.arange(T)
+        # zone z's timesteps shifted by z*T: a prediction in another zone then
+        # lies more than T, so more than n, steps away and counts as none
+        self.t_apart = t + zone * T
+        ev_s, ev_e = np.asarray(truth.intervals).T
+        self.event_pts = np.concatenate([np.arange(s, e) for s, e in truth.intervals])
+        self.event_cuts = np.concatenate([[0], np.cumsum(ev_e - ev_s)]).tolist()
+        # distance from each timestep to its zone's event
+        s, e = ev_s[zone], ev_e[zone]
+        d_truth = np.where(t < s, s - t, np.where(t >= e, t - (e - 1), 0))
+        self.prec_surv = self.survival(d_truth[None], t)[0]
+
+    def survival(self, dist, at) -> np.ndarray:
+        """Share of each zone's timesteps at least as far as ``dist`` at ``at``.
+
+        ``dist`` (R, T) holds each row's per-timestep integer distances; the
+        result (R, len(at)) is, for each query timestep q, the share of q's
+        zone whose distance is >= dist[:, q].
+        """
+        R = len(dist)
+        bins = np.minimum(dist, self.n)
+        bins += self.base
+        bins += (np.arange(R) * self.bins)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=R * self.bins).reshape(R, self.bins)
+        below = np.zeros((R, self.bins + 1), dtype=np.int64)  # below[:, b]: count in bins < b
+        np.cumsum(counts, axis=1, out=below[:, 1:])
+        q_base = self.base[at]
+        q_bin = q_base + np.minimum(dist[:, at], self.n[at])
+        closer = np.take_along_axis(below, q_bin, axis=1) - below[:, q_base]
+        return (self.n[at] - closer) / self.n[at]
+
+
+def _mean(values: np.ndarray) -> float:
+    """``float(values.mean())`` of a 1-D array: the same sum and division,
+    without the Python-level overhead that dominates for short arrays."""
+    return float(np.add.reduce(values) / len(values))
+
+
+def _affiliation(pred: np.ndarray, zones: _Zones) -> list[tuple[float, float]]:
+    """(precision, recall) of each row of a (R, T) boolean prediction matrix.
+
+    Per zone, precision averages ``zones.prec_surv`` over the zone's
+    predicted timesteps; recall averages, over the zone's event timesteps,
+    the share of zone timesteps at least as far from the zone's predictions.
+    Every zone mean is a 1-D mean over the same values, in the same order, as
+    a zone-by-zone loop over one prediction takes them: a 2-D ``mean(axis=1)``
+    may sum in another order and move the last bits.
+    """
+    t = zones.t_apart
+    far = int(t[-1]) + len(t)
+    # distance of every timestep to the nearest prediction in its own zone
+    # (n or more when the zone has none)
+    left = np.where(pred, t, -len(t))
+    np.maximum.accumulate(left, axis=1, out=left)
+    np.subtract(t, left, out=left)
+    right = np.where(pred, t, far)
+    np.minimum.accumulate(right[:, ::-1], axis=1, out=right[:, ::-1])
+    np.subtract(right, t, out=right)
+    d_pred = np.minimum(left, right, out=left)
+    del right
+    rec_surv = zones.survival(d_pred, zones.event_pts)
+    ev = zones.event_cuts
+    out = []
+    for row, rec_row in zip(pred, rec_surv):
+        pts = np.flatnonzero(row)
+        cuts = np.searchsorted(pts, zones.edges).tolist()
+        prec_vals = zones.prec_surv[pts]
+        zone_prec: list[float] = []
+        zone_rec: list[float] = []
+        for a, b, e0, e1 in zip(cuts, cuts[1:], ev, ev[1:]):
+            if a < b:
+                zone_prec.append(_mean(prec_vals[a:b]))
+                zone_rec.append(_mean(rec_row[e0:e1]))
+            else:  # a zone without predictions has recall 0
+                zone_rec.append(0.0)
+        precision = float(np.mean(zone_prec)) if zone_prec else 0.0
+        out.append((precision, float(np.mean(zone_rec))))
+    return out
 
 
 def affiliation_precision_recall(pred, truth: EventSet, T: int) -> tuple[float, float]:
@@ -198,30 +272,10 @@ def affiliation_precision_recall(pred, truth: EventSet, T: int) -> tuple[float, 
     scored against the zone's predicted points), averaging over all zones;
     a zone without predictions contributes recall 0.
     """
-    if len(truth) == 0:
-        raise MetricError("affiliation metrics need a non-empty truth event set")
-    pred_pts = _as_predicted_points(pred, T)
-    zone_prec: list[float] = []
-    zone_rec: list[float] = []
-    for (lo, hi), (ev_s, ev_e) in zip(_zone_bounds(truth), truth.intervals):
-        n = hi - lo
-        zpts = pred_pts[(pred_pts >= lo) & (pred_pts < hi)]
-        d_truth = _dist_to_interval(np.arange(lo, hi), ev_s, ev_e)
-        if len(zpts):
-            sorted_dt = np.sort(d_truth)
-            dp = _dist_to_interval(zpts, ev_s, ev_e)
-            surv = (n - np.searchsorted(sorted_dt, dp, side="left")) / n
-            zone_prec.append(float(surv.mean()))
-            d_pred = _dist_to_points(lo, hi, zpts)
-            sorted_dp = np.sort(d_pred)
-            dq = d_pred[np.arange(ev_s, ev_e) - lo]
-            surv_r = (n - np.searchsorted(sorted_dp, dq, side="left")) / n
-            zone_rec.append(float(surv_r.mean()))
-        else:
-            zone_rec.append(0.0)
-    precision = float(np.mean(zone_prec)) if zone_prec else 0.0
-    recall = float(np.mean(zone_rec))
-    return precision, recall
+    if truth.length != T:
+        raise ConfigError("truth EventSet length does not match T")
+    mask = _as_predicted_mask(pred, T)
+    return _affiliation(mask[None], _Zones(truth))[0]
 
 
 def affiliation_f1(pred, truth: EventSet, T: int) -> tuple[float, float, float]:
@@ -235,14 +289,19 @@ def affiliation_random_baseline(
     truth: EventSet, T: int, positive_rate: float, draws: int = DEFAULT_MC_DRAWS, seed: int = 0
 ) -> tuple[float, float]:
     """Expected affiliation precision/recall of a Bernoulli(positive_rate) predictor."""
+    if truth.length != T:
+        raise ConfigError("truth EventSet length does not match T")
+    zones = _Zones(truth)
     rng = make_rng(seed)
-    ps, rs = [], []
-    for _ in range(draws):
-        pred = (rng.uniform(size=T) < positive_rate).astype(np.int64)
-        p, r = affiliation_precision_recall(pred, truth, T)
-        ps.append(p)
-        rs.append(r)
-    return float(np.mean(ps)), float(np.mean(rs))
+    # a (rows, T) block of uniforms continues the stream of `rows` successive
+    # length-T draws, so blocks of any height give the same draws; the height
+    # bounds the (rows, T) work arrays on long series
+    rows = max(1, MC_BLOCK_STEPS // T)
+    scored = []
+    for lo in range(0, draws, rows):
+        pred = rng.uniform(size=(min(rows, draws - lo), T)) < positive_rate
+        scored += _affiliation(pred, zones)
+    return float(np.mean([p for p, _ in scored])), float(np.mean([r for _, r in scored]))
 
 
 def uaff_f1(precision: float, recall: float, baseline_precision: float,
@@ -266,51 +325,45 @@ def soften_labels(labels, buffer: int) -> np.ndarray:
     """Relevance ramp: 1 inside events, decaying linearly to 0 over ``buffer``
     steps outside each event boundary (max over overlapping ramps)."""
     y = np.asarray(labels, dtype=np.int64)
-    r = y.astype(np.float64).copy()
+    r = y.astype(np.float64)
     if buffer == 0:
         return r
     events = events_from_labels(y)
-    T = len(y)
-    for s, e in events.intervals:
-        for k in range(1, buffer + 1):
-            level = 1.0 - k / (buffer + 1.0)
-            if s - k >= 0:
-                r[s - k] = max(r[s - k], level)
-            if e - 1 + k < T:
-                r[e - 1 + k] = max(r[e - 1 + k], level)
+    if not len(events):
+        return r
+    starts, ends = np.asarray(events.intervals).T
+    k = np.arange(1, buffer + 1)
+    level = np.broadcast_to(1.0 - k / (buffer + 1.0), (len(starts), len(k)))
+    for pos in (starts[:, None] - k, ends[:, None] - 1 + k):
+        inside = (pos >= 0) & (pos < len(y))
+        np.maximum.at(r, pos[inside], level[inside])
     return r
 
 
-def _average_precision(scores, labels, relevance) -> float:
-    """Step-integrated area under the PR curve with relevance-weighted precision.
-
-    Precision at a cut counts soft relevance, so near-boundary predictions get
-    partial credit; recall counts true event points only, so a detector that
-    exactly reproduces the labels reaches area 1 at every buffer width.
-    """
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    y_sorted = labels[order].astype(np.float64)
-    r_sorted = relevance[order]
-    cum_rel = np.cumsum(r_sorted)
-    cum_tp = np.cumsum(y_sorted)
-    total_pos = cum_tp[-1]
-    ends = np.concatenate([np.flatnonzero(np.diff(s_sorted) != 0), [len(s_sorted) - 1]])
-    prec = cum_rel[ends] / (ends + 1.0)
-    rec = cum_tp[ends] / total_pos
-    prev_rec = np.concatenate([[0.0], rec[:-1]])
-    return float(np.sum((rec - prev_rec) * np.minimum(prec, 1.0)))
-
-
 def vus_pr(scores, labels, buffer_max: int = DEFAULT_BUFFER_MAX) -> float:
-    """Mean area under relevance-weighted PR curves over buffer widths 0..buffer_max."""
+    """Mean area under relevance-weighted PR curves over buffer widths 0..buffer_max.
+
+    Each area is the step-integrated PR curve whose precision at a cut counts
+    soft relevance, so near-boundary predictions get partial credit; recall
+    counts true event points only, so a detector that exactly reproduces the
+    labels reaches area 1 at every buffer width. The score order, the cuts
+    and the recall steps are shared by every width.
+    """
     s = np.asarray(scores, dtype=np.float64)
     y = _check_two_classes(labels)
     if s.shape != y.shape:
         raise ConfigError("scores and labels must have equal length")
-    areas = [
-        _average_precision(s, y, soften_labels(y, buf)) for buf in range(buffer_max + 1)
-    ]
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    cum_tp = np.cumsum(y[order].astype(np.float64))
+    ends = np.concatenate([np.flatnonzero(np.diff(s_sorted) != 0), [len(s_sorted) - 1]])
+    rec = cum_tp[ends] / cum_tp[-1]
+    rec_step = rec - np.concatenate([[0.0], rec[:-1]])
+    areas = []
+    for buf in range(buffer_max + 1):
+        cum_rel = np.cumsum(soften_labels(y, buf)[order])
+        prec = cum_rel[ends] / (ends + 1.0)
+        areas.append(float(np.sum(rec_step * np.minimum(prec, 1.0))))
     return 100.0 * float(np.mean(areas))
 
 
@@ -332,9 +385,14 @@ def cce(scores, labels) -> float:
     y = _check_two_classes(labels)
     if s.shape != y.shape:
         raise ConfigError("scores and labels must have equal length")
+    return _cce(s, y, auc_roc(s, y))
+
+
+def _cce(s: np.ndarray, y: np.ndarray, auc: float) -> float:
+    """CCE of checked scores and labels whose AUC-ROC is already known."""
     lo, hi = float(s.min()), float(s.max())
     shat = (s - lo) / (hi - lo) if hi > lo else np.full_like(s, 0.5)
-    agreement = 2.0 * auc_roc(s, y) / 100.0 - 1.0
+    agreement = 2.0 * auc / 100.0 - 1.0
     change = np.flatnonzero(np.diff(y) != 0) + 1
     run_bounds = np.concatenate([[0], change, [len(y)]])
     penalties = [
@@ -415,12 +473,13 @@ def evaluate(scores, labels, config: MetricsConfig | None = None,
     cfg_digest = hashlib.sha256(
         json.dumps(config.to_dict(), sort_keys=True).encode()
     ).hexdigest()[:12]
+    auc = auc_roc(s, y)
     return MetricReport(
-        cce=cce(s, y),
+        cce=_cce(s, y, auc),
         f1=f1,
         aff_f1=aff,
         uaff_f1=uaff_f1(precision, recall, p0, r0),
-        auc_roc=auc_roc(s, y),
+        auc_roc=auc,
         vus_pr=vus_pr(s, y, config.buffer_max),
         threshold=tau,
         seed=config.seed,

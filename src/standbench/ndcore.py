@@ -63,21 +63,32 @@ def sigmoid_grad(x):
     return s * (1.0 - s)
 
 
-def gelu(x):
-    """GELU in its tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    x = np.asarray(x, dtype=np.float64)
-    x_sq = x * x
-    inner = _SQRT_2_OVER_PI * (x + GELU_CUBIC * x_sq * x)
-    out = 0.5 * x * (1.0 + np.tanh(inner))
-    return out if out.ndim else float(out)
+def gelu(x, with_tanh: bool = False):
+    """GELU in its tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
-
-def gelu_grad(x):
-    """Exact derivative of the tanh-form GELU."""
+    ``with_tanh=True`` returns ``(gelu(x), tanh term)``; a backward pass can
+    hand the tanh term to :func:`gelu_grad` instead of recomputing it.
+    """
     x = np.asarray(x, dtype=np.float64)
     x_sq = x * x
     inner = _SQRT_2_OVER_PI * (x + GELU_CUBIC * x_sq * x)
     t = np.tanh(inner)
+    out = 0.5 * x * (1.0 + t)
+    if with_tanh:
+        return out, t
+    return out if out.ndim else float(out)
+
+
+def gelu_grad(x, t=None):
+    """Exact derivative of the tanh-form GELU.
+
+    ``t`` is the tanh term from ``gelu(x, with_tanh=True)``; it is recomputed
+    when not given, with the same result.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    x_sq = x * x
+    if t is None:
+        t = np.tanh(_SQRT_2_OVER_PI * (x + GELU_CUBIC * x_sq * x))
     d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x_sq)
     out = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
     return out if out.ndim else float(out)

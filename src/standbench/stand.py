@@ -141,7 +141,7 @@ def check_params(params: dict[str, np.ndarray], config: StandConfig) -> None:
 class _EmbedLayerCache:
     x: np.ndarray  # layer input (B, T, in)
     a: np.ndarray  # affine pre-activation
-    g: np.ndarray  # gelu output
+    tanh: np.ndarray  # tanh term of the GELU, reused by its derivative
     xhat: np.ndarray  # normalized gelu output
     inv_std: np.ndarray  # (B, T, 1)
 
@@ -188,25 +188,32 @@ class ForwardTrace:
     logits: np.ndarray  # (B, T)
 
 
-def _embed_layer_forward(x, w, b, gain, beta):
+def _embed_layer_forward(x, w, b, gain, beta, keep: bool = True):
+    """One affine → GELU → LayerNorm layer; without ``keep`` it builds no cache."""
     a = x @ w.T + b
-    g = gelu(a)
+    g, tanh = gelu(a, with_tanh=True) if keep else (gelu(a), None)
     mu = g.mean(axis=-1, keepdims=True)
     var = g.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (g - mu) * inv_std
-    return xhat * gain + beta, _EmbedLayerCache(x=x, a=a, g=g, xhat=xhat, inv_std=inv_std)
+    cache = _EmbedLayerCache(x=x, a=a, tanh=tanh, xhat=xhat, inv_std=inv_std) if keep else None
+    return xhat * gain + beta, cache
 
 
-def _embed(x, params, config: StandConfig):
-    """Per-timestep embedding MLP over (..., C); identity when use_embedding=false."""
+def _embed(x, params, config: StandConfig, keep: bool = True):
+    """Per-timestep embedding MLP over (..., C); identity when use_embedding=false.
+
+    Without ``keep`` no layer's backward cache is built or held (inference).
+    """
     caches = []
     if config.use_embedding:
         for layer in range(config.mlp_layers):
             x, cache = _embed_layer_forward(
-                x, *(params[f"embed.{layer}.{name}"] for name in ("w", "b", "gain", "beta"))
+                x, *(params[f"embed.{layer}.{name}"] for name in ("w", "b", "gain", "beta")),
+                keep=keep,
             )
-            caches.append(cache)
+            if keep:
+                caches.append(cache)
     return x, caches
 
 
@@ -442,7 +449,7 @@ def backward(
         for layer in range(config.mlp_layers - 1, -1, -1):
             cache = trace.embed[layer]
             dg, dgain, dbeta = _layernorm_backward(dh, cache, params[f"embed.{layer}.gain"])
-            da = dg * gelu_grad(cache.a)
+            da = dg * gelu_grad(cache.a, cache.tanh)
             da_flat = da.reshape(-1, da.shape[-1])
             grads[f"embed.{layer}.w"] = da_flat.T @ cache.x.reshape(da_flat.shape[0], -1)
             grads[f"embed.{layer}.b"] = da_flat.sum(axis=0)
@@ -600,20 +607,25 @@ def infer(
     W = config.window
     stride = stride if stride is not None else max(1, W // 2)
     starts = window_starts(len(x), W, stride)
-    h, _ = _embed(x, params, config)
+    h, _ = _embed(x, params, config, keep=False)
     if config.use_tem:
         # the whole series, so no projected row depends on batch_size
         proj = _project(h, _lstm_keys(0, config), params)
     rows = np.empty((len(starts), W))
     for lo in range(0, len(starts), batch_size):
         batch = starts[lo : lo + batch_size]
+        n = len(batch)
+        if n == 1:
+            # one window would send the recurrent product to a matrix-vector
+            # kernel that rounds unlike the GEMM of larger batches: run it twice
+            batch = np.repeat(batch, 2)
         if config.use_tem:
             rows_b = _step_rows(W, len(config.directions), batch)
             h_enc, _ = _lstm_stack(None, params, config, keep=False, proj=proj, rows=rows_b)
         else:
             h_enc = h[batch[:, None] + np.arange(W)]
         # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
-        rows[lo : lo + len(batch)] = h_enc @ params["head.w"] + params["head.b"][0]
+        rows[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
     ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
                    values=None, labels=None)
     return reassemble(ws, rows)

@@ -53,6 +53,19 @@ class TestPca:
             baselines.PcaDetector(rank=5).fit(np.zeros((10, 3)))
 
 
+def knn_loop_oracle(train, q, k, chunk=2048):
+    """The scoring loop before slicing: each 2048-row block assembled whole."""
+    t_sq = np.sum(train**2, axis=1)
+    out = np.empty(len(q))
+    for lo in range(0, len(q), chunk):
+        block = q[lo : lo + chunk]
+        d_sq = np.sum(block**2, axis=1)[:, None] + t_sq[None, :] - 2.0 * block @ train.T
+        np.maximum(d_sq, 0.0, out=d_sq)
+        nearest = np.partition(d_sq, k - 1, axis=1)[:, :k]
+        out[lo : lo + len(block)] = np.sqrt(nearest).mean(axis=1)
+    return out
+
+
 class TestKnnKmeans:
     def test_stored_point_scores_zero(self):
         rng = make_rng(4)
@@ -97,6 +110,17 @@ class TestKnnKmeans:
     def test_k_exceeds_training(self):
         with pytest.raises(ConfigError):
             baselines.KnnDetector(k=5).fit(np.zeros((3, 2)))
+
+    # The GEMM's row count can move the scores' last bits at 2133 training
+    # rows; 3249 rows is the other training size of the benchmark grid. The
+    # query count leaves a one-row tail slice in a short last block.
+    @pytest.mark.parametrize("n_train", [2133, 3249])
+    def test_knn_bitwise_equals_one_block_loop(self, n_train):
+        rng = make_rng(8)
+        train = rng.standard_normal((n_train, 8))
+        queries = rng.standard_normal((2 * baselines.KNN_GEMM_ROWS + 129, 8))
+        det = baselines.KnnDetector(k=5).fit(train)
+        assert np.array_equal(det.score(queries), knn_loop_oracle(train, queries, 5))
 
 
 class TestLogReg:

@@ -132,6 +132,72 @@ class TestRunExperiment:
         assert {row.dataset for row in table.rows} == {"series@0.1"}
 
 
+class TestSharedSeries:
+    def test_one_generation_per_dataset_and_seed(self, tmp_path, monkeypatch):
+        calls = []
+        real = bench.generate_synthetic
+
+        def counting(spec):
+            calls.append(spec.seed)
+            return real(spec)
+
+        monkeypatch.setattr(bench, "generate_synthetic", counting)
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "pca", "rank": 2}],
+                           thresholds=(0.05, 0.1), seeds=(0, 1))
+        table, failures = bench.run_experiment(cfg)
+        assert not failures and len(table.rows) == 8
+        assert sorted(calls) == [3, 4]  # spec seed 3 plus each run seed
+        calls.clear()
+        bench.run_experiment(cfg)  # warm: every cell is cached
+        assert calls == []
+
+    def test_cells_share_read_only_arrays(self, tmp_path, monkeypatch):
+        seen = []
+        real = bench.run_cell
+
+        def recording(ds, *args, **kwargs):
+            seen.append(ds)
+            return real(ds, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_cell", recording)
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "knn"}],
+                           thresholds=(0.05, 0.1))
+        bench.run_experiment(cfg)
+        assert len(seen) == 4 and all(ds is seen[0] for ds in seen)
+        assert not seen[0].values.flags.writeable and not seen[0].labels.flags.writeable
+
+    def test_shared_series_equal_fresh_ones(self, tmp_path):
+        # the grid's table is the same as one that materializes per cell
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "knn"}],
+                           thresholds=(0.05, 0.1), seeds=(0, 1))
+        table, _ = bench.run_experiment(cfg)
+        for row in table.rows:
+            entry = next(d for d in cfg.detectors if bench.detector_label(d) == row.detector)
+            threshold = float(row.dataset.rsplit("@", 1)[1])
+            ds = bench.materialize_dataset(cfg.datasets[0], row.seed)
+            report = bench.run_cell(ds, threshold, entry, row.seed, cfg.metrics)
+            assert report.values() == row.report.values()
+
+
+class TestNumericFailures:
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_raising_detector_fails_its_cells_only(self, tmp_path, monkeypatch, error):
+        def broken_fit(self, values, labels=None):
+            raise error("did not converge")
+
+        monkeypatch.setattr(baselines.PcaDetector, "fit", broken_fit)
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "pca", "rank": 2}],
+                           seeds=(0, 1))
+        table, failures = bench.run_experiment(cfg)
+        assert failures
+        by_det = {}
+        for row in table.rows:
+            by_det.setdefault(row.detector, []).append(row)
+        assert all(r.report is not None for r in by_det["random"])
+        assert [r.error for r in by_det["pca"]] == [f"{error.__name__}: did not converge"] * 2
+        assert os.path.exists(os.path.join(cfg.output_dir, "mini_results.md"))
+
+
 class TestAggregation:
     def make_table(self):
         table = ResultsTable(name="agg")
@@ -298,6 +364,12 @@ class TestCli:
         assert cli.main(["bench", "--config", str(bad)]) == 2
         assert cli.main(["split", "--data", str(tmp_path / "nope.csv"),
                          "--threshold", "0.2"]) == 2
+
+    def test_exit_code_two_on_non_finite_csv(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,label\n0.5,0\nnan,1\n0.25,0\n")
+        assert cli.main(["split", "--data", str(bad), "--threshold", "0.2"]) == 2
+        assert "row 3, column 'a': non-finite cell nan" in capsys.readouterr().err
 
     def test_determinism_across_fresh_runs(self, tmp_path):
         texts = []

@@ -56,6 +56,13 @@ class TestCsv:
         with pytest.raises(IngestError, match="row 3, column 'b'"):
             data.load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,label\n1,2,0\n3,4,1\n5,{cell},0\n")
+        with pytest.raises(IngestError, match="row 4, column 'b': non-finite"):
+            data.load_csv(p)
+
     def test_non_binary_label(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,label\n1,0\n2,2\n")

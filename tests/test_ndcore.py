@@ -78,6 +78,12 @@ class TestNonlinearities:
         numeric = (ndcore.gelu(x + h) - ndcore.gelu(x - h)) / (2 * h)
         assert ndcore.gelu_grad(x) == pytest.approx(numeric, rel=1e-6)
 
+    def test_gelu_grad_reuses_forward_tanh_bitwise(self):
+        x = ndcore.make_rng(3).standard_normal((7, 5)) * 3.0
+        out, t = ndcore.gelu(x, with_tanh=True)
+        assert np.array_equal(out, ndcore.gelu(x))
+        assert np.array_equal(ndcore.gelu_grad(x, t), ndcore.gelu_grad(x))
+
     def test_sigmoid_center(self):
         assert ndcore.sigmoid(0.0) == 0.5
 

@@ -226,6 +226,18 @@ class TestInfer:
         a = stand.infer(x, p, cfg, stride=2, batch_size=3)
         b = stand.infer(x, p, cfg, stride=2, batch_size=64)
         assert np.allclose(a, b, rtol=0, atol=0)
+        # one-window batches: batch_size=1, and 65 windows leave a one-window
+        # tail batch at batch sizes 2, 4, 8 and 64 (at d=32 such a batch
+        # used to round differently from larger ones)
+        x = make_rng(9).standard_normal((200, 3))
+        assert len(data.window_starts(200, 8, 3)) == 65
+        for kw in ({}, {"tem_layers": 2}, {"bidirectional": False}):
+            cfg = tiny_config(d_model=32, window=8, **kw)
+            p = stand.init_params(cfg)
+            ref = stand.infer(x, p, cfg, stride=3, batch_size=256)
+            for batch_size in (1, 2, 4, 8, 64):
+                got = stand.infer(x, p, cfg, stride=3, batch_size=batch_size)
+                assert np.array_equal(got, ref), (kw, batch_size)
 
     def test_channel_mismatch(self):
         cfg = tiny_config()
