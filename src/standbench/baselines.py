@@ -4,6 +4,10 @@ Unsupervised detectors (random, pca, knn, kmeans) fit on per-timestep channel
 vectors and ignore labels entirely; supervised ones (logreg, stand) refuse to
 fit without labels. ``score`` always returns one finite real per timestep,
 higher meaning more anomalous.
+
+Each class owns its state: the constructor takes flat config keys, ``state()``
+returns them with the fitted tensors, and ``from_state`` inverts it. Adding a
+detector means one such class and its ``DETECTOR_KINDS`` entry.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import stand as stand_mod
-from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TimeSeriesDataset, make_windows
 from .exceptions import ConfigError, ContractError
 from .ndcore import make_rng, sigmoid
@@ -35,6 +38,7 @@ class RandomDetector:
 
     kind = "random"
     supervision = UTAD
+    seeded = True
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -48,12 +52,17 @@ class RandomDetector:
     def state(self):
         return {"seed": self.seed}, {}
 
+    @classmethod
+    def from_state(cls, config, tensors):
+        return cls(**config)
+
 
 class PcaDetector:
     """Squared reconstruction error through the top-k principal subspace."""
 
     kind = "pca"
     supervision = UTAD
+    seeded = False
 
     def __init__(self, rank: int = 10):
         self.rank = rank
@@ -82,6 +91,12 @@ class PcaDetector:
     def state(self):
         return {"rank": self.rank}, {"mean": self.mean_, "components": self.components_}
 
+    @classmethod
+    def from_state(cls, config, tensors):
+        det = cls(**config)
+        det.mean_, det.components_ = tensors["mean"], tensors["components"]
+        return det
+
 
 # Query rows per distance GEMM. The row count decides how OpenBLAS splits the
 # product, and so the last bits of the scores: keep it fixed.
@@ -96,6 +111,7 @@ class KnnDetector:
 
     kind = "knn"
     supervision = UTAD
+    seeded = False
 
     def __init__(self, k: int = 5):
         if k < 1:
@@ -136,6 +152,12 @@ class KnnDetector:
     def state(self):
         return {"k": self.k}, {"train": self.train_}
 
+    @classmethod
+    def from_state(cls, config, tensors):
+        det = cls(**config)
+        det.train_ = tensors["train"]
+        return det
+
 
 class KmeansDetector:
     """Distance to the nearest of k centroids fitted by seeded Lloyd iterations.
@@ -146,6 +168,7 @@ class KmeansDetector:
 
     kind = "kmeans"
     supervision = UTAD
+    seeded = True
 
     def __init__(self, n_clusters: int = 10, seed: int = 0):
         if n_clusters < 1:
@@ -187,6 +210,12 @@ class KmeansDetector:
     def state(self):
         return {"n_clusters": self.n_clusters, "seed": self.seed}, {"centroids": self.centroids_}
 
+    @classmethod
+    def from_state(cls, config, tensors):
+        det = cls(**config)
+        det.centroids_ = tensors["centroids"]
+        return det
+
 
 def _pairwise_dist(a, b):
     d_sq = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * a @ b.T
@@ -202,6 +231,7 @@ class LogRegDetector:
 
     kind = "logreg"
     supervision = STAD
+    seeded = False
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 500):
         self.learning_rate = learning_rate
@@ -236,17 +266,24 @@ class LogRegDetector:
             {"w": self.w_, "b": np.array([self.b_])},
         )
 
+    @classmethod
+    def from_state(cls, config, tensors):
+        det = cls(**config)
+        det.w_, det.b_ = tensors["w"], float(tensors["b"][0])
+        return det
+
 
 class StandDetector:
-    """Harness adapter around the supervised sequence detector."""
+    """Harness adapter around the supervised sequence detector; takes the
+    ``StandConfig`` fields as flat keywords beside the two window strides."""
 
     kind = "stand"
     supervision = STAD
+    seeded = True
 
-    def __init__(self, config: stand_mod.StandConfig, train_stride: int = 2,
-                 infer_stride: int | None = None):
-        self.config = config
-        self.train_stride = min(train_stride, config.window)
+    def __init__(self, train_stride: int = 2, infer_stride: int | None = None, **config):
+        self.config = stand_mod.StandConfig(**config)
+        self.train_stride = min(train_stride, self.config.window)
         self.infer_stride = infer_stride
         self.params_ = None
         self.loss_history_ = None
@@ -268,10 +305,14 @@ class StandDetector:
         return stand_mod.infer(values, self.params_, self.config, stride=self.infer_stride)
 
     def state(self):
-        cfg = self.config.to_dict()
-        cfg["train_stride"] = self.train_stride
-        cfg["infer_stride"] = self.infer_stride
-        return cfg, dict(self.params_)
+        strides = {"train_stride": self.train_stride, "infer_stride": self.infer_stride}
+        return {**self.config.to_dict(), **strides}, dict(self.params_)
+
+    @classmethod
+    def from_state(cls, config, tensors):
+        det = cls(**config)
+        det.params_ = tensors
+        return det
 
 
 DETECTOR_KINDS = {
@@ -285,62 +326,10 @@ DETECTOR_KINDS = {
 
 
 def build_detector(kind: str, **kwargs):
-    """Instantiate a detector by kind tag; 'stand' takes StandConfig fields."""
+    """An unfitted detector from its kind tag and flat config keys."""
     if kind not in DETECTOR_KINDS:
         raise ConfigError(f"unknown detector kind '{kind}'")
-    if kind == "stand":
-        train_stride = kwargs.pop("train_stride", 2)
-        infer_stride = kwargs.pop("infer_stride", None)
-        return StandDetector(
-            stand_mod.StandConfig(**kwargs),
-            train_stride=train_stride,
-            infer_stride=infer_stride,
-        )
-    return DETECTOR_KINDS[kind](**kwargs)
-
-
-def save_detector(detector, path) -> None:
-    config, tensors = detector.state()
-    save_checkpoint(path, detector.kind, config, {k: np.asarray(v) for k, v in tensors.items()})
-
-
-def load_detector(path):
-    kind, config, tensors = load_checkpoint(path)
-    return detector_from_state(kind, config, tensors)
-
-
-def detector_from_state(kind: str, config: dict, tensors: dict):
-    if kind == "random":
-        return RandomDetector(seed=int(config["seed"]))
-    if kind == "pca":
-        det = PcaDetector(rank=int(config["rank"]))
-        det.mean_ = tensors["mean"]
-        det.components_ = tensors["components"]
-        return det
-    if kind == "knn":
-        det = KnnDetector(k=int(config["k"]))
-        det.train_ = tensors["train"]
-        return det
-    if kind == "kmeans":
-        det = KmeansDetector(n_clusters=int(config["n_clusters"]), seed=int(config["seed"]))
-        det.centroids_ = tensors["centroids"]
-        return det
-    if kind == "logreg":
-        det = LogRegDetector(
-            learning_rate=float(config["learning_rate"]), epochs=int(config["epochs"])
-        )
-        det.w_ = tensors["w"]
-        det.b_ = float(tensors["b"][0])
-        return det
-    if kind == "stand":
-        cfg = dict(config)
-        train_stride = int(cfg.pop("train_stride", 2))
-        infer_stride = cfg.pop("infer_stride", None)
-        det = StandDetector(
-            stand_mod.StandConfig(**cfg),
-            train_stride=train_stride,
-            infer_stride=None if infer_stride is None else int(infer_stride),
-        )
-        det.params_ = tensors
-        return det
-    raise ConfigError(f"unknown detector kind '{kind}' in checkpoint")
+    try:
+        return DETECTOR_KINDS[kind](**kwargs)
+    except TypeError as exc:  # an unknown or missing key
+        raise ConfigError(f"invalid '{kind}' detector config: {exc}") from None

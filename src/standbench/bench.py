@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import STAD, build_detector, DETECTOR_KINDS
+from .baselines import DETECTOR_KINDS, STAD, build_detector
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    NormStats,
     SyntheticSpec,
     TimeSeriesDataset,
     generate_synthetic,
@@ -62,15 +63,16 @@ class ExperimentConfig:
         th = self.split_thresholds
         if not th or any(not 0.0 < t < 1.0 for t in th) or list(th) != sorted(set(th)):
             raise ConfigError("split_thresholds must be strictly increasing values in (0, 1)")
-        for det in self.detectors:
-            if det.get("kind") not in DETECTOR_KINDS:
-                raise ConfigError(f"unknown detector kind in config: {det.get('kind')!r}")
+        for entry in self.detectors:  # a bad entry fails here, before any cell runs
+            _build_seeded_detector(entry, 0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        metrics = MetricsConfig(**doc.pop("metrics", {}))
-        return cls(metrics=metrics, **doc)
+        try:
+            return cls(metrics=MetricsConfig(**doc.pop("metrics", {})), **doc)
+        except TypeError as exc:  # an unknown or missing key
+            raise ConfigError(f"invalid experiment config: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -115,10 +117,26 @@ def materialize_dataset(entry: dict, seed: int) -> TimeSeriesDataset:
 
 def _build_seeded_detector(entry: dict, seed: int):
     cfg = {k: v for k, v in entry.items() if k not in ("kind", "label")}
-    kind = entry["kind"]
-    if kind in ("random", "kmeans", "stand"):
+    kind = entry.get("kind")
+    if kind in DETECTOR_KINDS and DETECTOR_KINDS[kind].seeded:
         cfg["seed"] = int(cfg.get("seed", 0)) + seed
     return build_detector(kind, **cfg)
+
+
+def fit_on_prefix(ds: TimeSeriesDataset, threshold: float, detector_entry: dict, seed: int = 0):
+    """Split, z-score on the train prefix, build and fit (labels only if supervised).
+
+    Returns (detector, split, normalization stats, normalized series)."""
+    split = prefix_split(ds, threshold)
+    stats = zscore_fit(ds, (0, split.train_end))
+    norm = zscore_apply(ds, stats)
+    detector = _build_seeded_detector(detector_entry, seed)
+    train_vals = norm.values[: split.train_end]
+    if detector.supervision == STAD:
+        detector.fit(train_vals, norm.labels[: split.train_end])
+    else:
+        detector.fit(train_vals)
+    return detector, split, stats, norm
 
 
 def run_cell(
@@ -130,29 +148,12 @@ def run_cell(
     fair_eval: bool = True,
 ) -> MetricReport:
     """One benchmark cell: split, normalize on the train prefix, fit, score, evaluate."""
-    split = prefix_split(ds, threshold)
-    stats = zscore_fit(ds, (0, split.train_end))
-    norm = zscore_apply(ds, stats)
-    train_vals = norm.values[: split.train_end]
-    train_labels = norm.labels[: split.train_end]
+    detector, split, _, norm = fit_on_prefix(ds, threshold, detector_entry, seed)
     lo = split.train_end if fair_eval else 0
-    eval_vals = norm.values[lo:]
-    eval_labels = norm.labels[lo:]
-
-    detector = _build_seeded_detector(detector_entry, seed)
-    if detector.supervision == STAD:
-        detector.fit(train_vals, train_labels)
-    else:
-        detector.fit(train_vals)
-    scores = detector.score(eval_vals)
     return evaluate(
-        scores,
-        eval_labels,
-        MetricsConfig(
-            buffer_max=metrics_cfg.buffer_max,
-            mc_draws=metrics_cfg.mc_draws,
-            seed=metrics_cfg.seed + seed,
-        ),
+        detector.score(norm.values[lo:]),
+        norm.labels[lo:],
+        replace(metrics_cfg, seed=metrics_cfg.seed + seed),
         metadata={
             "detector": detector_label(detector_entry),
             "dataset": "",
@@ -525,9 +526,6 @@ def save_fitted(path, detector, stats) -> None:
 
 def load_fitted(path):
     """Returns (detector, NormStats); inverse of save_fitted."""
-    from .baselines import detector_from_state
-    from .data import NormStats
-
     kind, config, tensors = load_checkpoint(path)
     try:
         stats = NormStats(mean=tensors.pop("norm.mean"), std=tensors.pop("norm.std"))
@@ -535,4 +533,7 @@ def load_fitted(path):
     except (KeyError, TypeError) as exc:
         raise IngestError(f"{path}: not a fitted-detector checkpoint (missing {exc})") from exc
     det_tensors = {k[len("det."):]: v for k, v in tensors.items()}
-    return detector_from_state(kind, det_config, det_tensors), stats
+    try:
+        return DETECTOR_KINDS[kind].from_state(det_config, det_tensors), stats
+    except (KeyError, TypeError) as exc:  # an unknown kind, a missing tensor or config key
+        raise IngestError(f"{path}: not a valid '{kind}' detector state ({exc!r})") from exc

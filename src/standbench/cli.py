@@ -12,10 +12,7 @@ import dataclasses
 import json
 import sys
 
-
-
 from . import bench as bench_mod
-from .baselines import STAD, build_detector
 from .bench import ExperimentConfig, ResultsTable, load_fitted, save_fitted
 from .data import (
     SyntheticSpec,
@@ -24,7 +21,6 @@ from .data import (
     prefix_split,
     write_csv,
     zscore_apply,
-    zscore_fit,
 )
 from .exceptions import StandbenchError
 from .metrics import MetricsConfig, evaluate, read_scores_csv, write_report, write_scores_csv
@@ -55,22 +51,13 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     ds = load_csv(args.data, args.label_column)
-    split = prefix_split(ds, args.threshold)
-    stats = zscore_fit(ds, (0, split.train_end))
-    norm = zscore_apply(ds, stats)
     with open(args.detector, encoding="utf-8") as fh:
         entry = json.load(fh)
-    kind = entry.pop("kind")
-    if kind == "stand":
+    if entry.get("kind") == "stand":
         entry.setdefault("input_channels", ds.channels)
-    detector = build_detector(kind, **entry)
-    train_vals = norm.values[: split.train_end]
-    if detector.supervision == STAD:
-        detector.fit(train_vals, norm.labels[: split.train_end])
-    else:
-        detector.fit(train_vals)
+    detector, split, stats, _ = bench_mod.fit_on_prefix(ds, args.threshold, entry)
     save_fitted(args.out, detector, stats)
-    print(f"fitted '{kind}' on [0, {split.train_end}) "
+    print(f"fitted '{detector.kind}' on [0, {split.train_end}) "
           f"(train anomaly rate {split.train_rate:.2%}); checkpoint at {args.out}")
     return 0
 

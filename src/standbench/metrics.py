@@ -413,6 +413,13 @@ class MetricsConfig:
     mc_draws: int = DEFAULT_MC_DRAWS
     seed: int = 0
 
+    def __post_init__(self):
+        # zero draws or a negative buffer would average an empty list into NaN
+        if self.mc_draws < 1:
+            raise ConfigError(f"mc_draws must be >= 1, got {self.mc_draws}")
+        if self.buffer_max < 0:
+            raise ConfigError(f"buffer_max must be >= 0, got {self.buffer_max}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

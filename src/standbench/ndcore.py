@@ -1,9 +1,8 @@
-"""Minimal dense numeric kernel: float64 matrices, nonlinearities, seeded RNG.
+"""Minimal numeric kernel: float64 nonlinearities and seeded RNG streams.
 
 Everything downstream (detector, baselines, metrics) works in 64-bit floats;
 gradient verification at the tolerances this package uses is meaningless in
-32-bit. Arrays are plain C-contiguous numpy ndarrays, so `Matrix` here simply
-means a 2-D float64 array with row-major storage.
+32-bit.
 """
 
 from __future__ import annotations
@@ -12,35 +11,10 @@ import math
 
 import numpy as np
 
-from .exceptions import ConfigError
-
 # Cubic coefficient of the tanh-form GELU. The tanh approximation is used
 # instead of erf because it is portable and has a closed-form derivative.
 GELU_CUBIC = 0.044715
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def matrix(rows: int, cols: int, values) -> np.ndarray:
-    """Build a rows x cols float64 matrix from a flat row-major sequence."""
-    out = np.asarray(values, dtype=np.float64).reshape(-1)
-    if out.size != rows * cols:
-        raise ConfigError(
-            f"matrix needs {rows * cols} values for shape ({rows}, {cols}), got {out.size}"
-        )
-    if not np.all(np.isfinite(out)):
-        raise ConfigError("matrix values must be finite")
-    return np.ascontiguousarray(out.reshape(rows, cols))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x):
@@ -56,11 +30,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
-
-
-def sigmoid_grad(x):
-    s = sigmoid(np.asarray(x, dtype=np.float64))
-    return s * (1.0 - s)
 
 
 def gelu(x, with_tanh: bool = False):
@@ -92,28 +61,6 @@ def gelu_grad(x, t=None):
     d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x_sq)
     out = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
     return out if out.ndim else float(out)
-
-
-def tanh_grad(x):
-    t = np.tanh(np.asarray(x, dtype=np.float64))
-    return 1.0 - t**2
-
-
-def layernorm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
-    """Normalize a vector to zero mean / unit population variance, then scale and shift.
-
-    Constant inputs are absorbed by eps and map to `bias`.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if not (v.shape == gain.shape == bias.shape) or v.ndim != 1 or v.size < 1:
-        raise ConfigError("layernorm expects three equal-length 1-D vectors")
-    if eps <= 0:
-        raise ConfigError("layernorm eps must be > 0")
-    mu = v.mean()
-    var = v.var()
-    return (v - mu) / np.sqrt(var + eps) * gain + bias
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

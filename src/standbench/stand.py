@@ -78,10 +78,6 @@ class StandConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "StandConfig":
-        return cls(**doc)
-
 
 def init_params(config: StandConfig, rng=None) -> dict[str, np.ndarray]:
     """Seeded initialization: uniform(+-1/sqrt(fan_in)) weights, forget bias +1.
@@ -225,7 +221,9 @@ def _project(x, keys, params):
     """Input projection of every direction: (..., in) -> (..., D, 4d)."""
     out = np.empty(x.shape[:-1] + (len(keys), len(params[keys[0] + ".b"])))
     for k, key in enumerate(keys):
-        np.add(x @ params[key + ".w_ih"].T, params[key + ".b"], out=out[..., k, :])
+        # straight into out: a (..., 4d) temporary would be a third of infer's peak memory
+        np.matmul(x, params[key + ".w_ih"].T, out=out[..., k, :])
+        out[..., k, :] += params[key + ".b"]
     return out
 
 
@@ -285,7 +283,7 @@ def _lstm_stack(h, params, config: StandConfig, keep: bool, proj=None, rows=None
         keys = _lstm_keys(layer, config)
         if proj is None:
             B, W = h.shape[:2]
-            proj = _project(h, keys, params).reshape(B * W, len(keys), -1)
+            proj = _project(h.reshape(B * W, -1), keys, params)
             rows = _step_rows(W, len(keys), np.arange(0, B * W, W))
         # C-contiguous: a transposed operand takes a BLAS path whose rounding
         # depends on the batch size, which would break batch-grouping invariance
@@ -312,34 +310,6 @@ def forward_batch(
     return logits, ForwardTrace(
         x=x, embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits
     )
-
-
-def embed_forward(x_seq, params, config: StandConfig):
-    """Per-timestep MLP embedding of one (T, C) sequence: affine -> GELU -> LayerNorm."""
-    if not config.use_embedding:
-        raise ConfigError("embed_forward requires use_embedding=true")
-    h, caches = _embed(np.asarray(x_seq, dtype=np.float64)[None], params, config)
-    return h[0], caches
-
-
-def bilstm_forward(h_e, params, config: StandConfig):
-    """Temporal encoder over one (T, d) sequence; identity map when use_tem=false."""
-    h = np.asarray(h_e, dtype=np.float64)[None]
-    if not config.use_tem:
-        return h[0], []
-    h, caches = _lstm_stack(h, params, config, keep=True)
-    return h[0], caches
-
-
-def score_forward(h_enc, params):
-    """Pointwise linear logit: s_t = w . h_t + b."""
-    h = np.asarray(h_enc, dtype=np.float64)
-    if h.shape[-1] != params["head.w"].shape[0]:
-        raise ConfigError(
-            f"encoder width {h.shape[-1]} does not match classifier width "
-            f"{params['head.w'].shape[0]}"
-        )
-    return h @ params["head.w"] + params["head.b"][0]
 
 
 def forward(x, params, config: StandConfig) -> tuple[np.ndarray, ForwardTrace]:

@@ -46,25 +46,21 @@ class AcceptanceRuns:
         return self._prepared[key]
 
     def _build(self, name, seed):
-        if name == "stand":
-            return baselines.StandDetector(stand_config(seed), train_stride=2, infer_stride=4)
-        if name == "stand_no_bidir":
-            return baselines.StandDetector(
-                stand_config(seed, bidirectional=False), train_stride=2, infer_stride=4
-            )
-        if name == "stand_no_tem":
-            return baselines.StandDetector(
-                stand_config(seed, bidirectional=False, use_tem=False, use_embedding=False),
-                train_stride=2,
-                infer_stride=4,
-            )
+        stand_flags = {
+            "stand": {},
+            "stand_no_bidir": {"bidirectional": False},
+            "stand_no_tem": {"bidirectional": False, "use_tem": False, "use_embedding": False},
+        }
+        if name in stand_flags:
+            config = stand_config(seed, **stand_flags[name]).to_dict()
+            return baselines.StandDetector(train_stride=2, infer_stride=4, **config)
         if name == "logreg":
             cfg = {k: v for k, v in LOGREG_DETECTOR_ENTRY.items() if k != "kind"}
             return baselines.LogRegDetector(**cfg)
         for entry in UTAD_DETECTOR_ENTRIES:
             if entry["kind"] == name:
                 kwargs = {k: v for k, v in entry.items() if k != "kind"}
-                if name in ("random", "kmeans"):
+                if baselines.DETECTOR_KINDS[name].seeded:
                     kwargs["seed"] = seed
                 return baselines.build_detector(name, **kwargs)
         raise KeyError(name)

@@ -4,6 +4,8 @@ These are the per-direction LSTM forward and backward, the batched forward,
 backward and windowed ``infer`` built on them, and the window-by-window
 ``reassemble`` loop, kept as they were before the recurrence was fused. The
 embedding, LayerNorm and gate helpers are shared with ``standbench.stand``.
+``layernorm`` is the one-vector LayerNorm the batched embedding is compared
+against.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from standbench import data, stand
+from standbench.exceptions import ConfigError
 from standbench.ndcore import gelu_grad, sigmoid
 
 
@@ -191,3 +194,20 @@ def infer(x, params, config, stride=None, batch_size=256):
         logits, _ = forward_batch(ws.values[lo : lo + batch_size], params, config)
         rows[lo : lo + len(logits)] = logits
     return reassemble(ws, rows)
+
+
+def layernorm(v, gain, bias, eps: float = 1e-5) -> np.ndarray:
+    """Normalize a vector to zero mean / unit population variance, then scale and shift.
+
+    Constant inputs are absorbed by eps and map to `bias`.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    gain = np.asarray(gain, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if not (v.shape == gain.shape == bias.shape) or v.ndim != 1 or v.size < 1:
+        raise ConfigError("layernorm expects three equal-length 1-D vectors")
+    if eps <= 0:
+        raise ConfigError("layernorm eps must be > 0")
+    mu = v.mean()
+    var = v.var()
+    return (v - mu) / np.sqrt(var + eps) * gain + bias

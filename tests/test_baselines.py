@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from standbench import baselines, stand
+from standbench import baselines, bench, checkpoint
 from standbench.checkpoint import load_checkpoint, save_checkpoint
+from standbench.data import NormStats
 from standbench.exceptions import ConfigError, ContractError
 from standbench.metrics import auc_roc
 from standbench.ndcore import make_rng, sigmoid
@@ -189,9 +192,8 @@ class TestDetectorContracts:
             assert np.array_equal(with_labels.score(test), without.score(test))
 
     def test_stad_refuses_unlabeled_fit(self):
-        cfg = stand.StandConfig(input_channels=3, d_model=4, window=6, epochs=1)
         for det in (baselines.LogRegDetector(),
-                    baselines.StandDetector(cfg)):
+                    baselines.StandDetector(input_channels=3, d_model=4, window=6, epochs=1)):
             with pytest.raises(ContractError):
                 det.fit(np.zeros((30, 3)))
 
@@ -205,6 +207,62 @@ class TestDetectorContracts:
             assert det.kind == kind
         with pytest.raises(ConfigError):
             baselines.build_detector("iforest")
+
+    def test_malformed_config_rejected(self):
+        with pytest.raises(ConfigError, match="kk"):
+            baselines.build_detector("knn", kk=3)
+        with pytest.raises(ConfigError, match="input_channels"):
+            baselines.build_detector("stand", d_model=4)
+        with pytest.raises(ConfigError, match="strid"):
+            baselines.build_detector("stand", input_channels=3, strid=2)
+
+
+# One small fitted detector per kind; stand with a non-default train stride.
+FITTED_ENTRIES = {
+    "random": {"seed": 4},
+    "pca": {"rank": 2},
+    "knn": {"k": 3},
+    "kmeans": {"n_clusters": 4, "seed": 1},
+    "logreg": {"epochs": 50},
+    "stand": {"input_channels": 3, "d_model": 4, "window": 6, "epochs": 2, "seed": 1,
+              "train_stride": 3},
+}
+
+
+def fitted(kind, seed=13):
+    rng = make_rng(seed)
+    train = rng.standard_normal((60, 3))
+    y = (rng.uniform(size=60) < 0.3).astype(int)
+    det = baselines.build_detector(kind, **FITTED_ENTRIES[kind])
+    return det.fit(train, y) if det.supervision == baselines.STAD else det.fit(train)
+
+
+class TestDetectorClassContract:
+    """What the benchmark tracer, the bench harness and the checkpoint path
+    assume of every detector class."""
+
+    @pytest.mark.parametrize("kind", sorted(baselines.DETECTOR_KINDS))
+    def test_class_owns_its_interface(self, kind):
+        cls = baselines.DETECTOR_KINDS[kind]
+        # the tracer wraps cls.__dict__["fit"] and ["score"]: no inherited methods
+        for name in ("fit", "score", "state", "from_state"):
+            assert name in cls.__dict__, f"{cls.__name__}.{name} is not defined in its body"
+        assert cls.kind == kind
+        assert cls.supervision in (baselines.UTAD, baselines.STAD)
+        assert isinstance(cls.seeded, bool)
+
+    @pytest.mark.parametrize("kind", sorted(baselines.DETECTOR_KINDS))
+    def test_from_state_inverts_state(self, kind):
+        det = fitted(kind)
+        config, tensors = det.state()
+        again = type(det).from_state(config, tensors)
+        again_config, again_tensors = again.state()
+        assert again_config == config
+        assert sorted(again_tensors) == sorted(tensors)
+        for name, value in tensors.items():
+            assert np.asarray(again_tensors[name]).tobytes() == np.asarray(value).tobytes()
+        # bench offsets the "seed" key of exactly the seeded kinds
+        assert type(det).seeded == ("seed" in config)
 
 
 class TestSerialization:
@@ -228,28 +286,54 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", ["random", "pca", "knn", "kmeans", "logreg"])
     def test_detector_round_trip(self, kind, tmp_path):
-        rng = make_rng(13)
-        train = rng.standard_normal((50, 3))
-        y = (rng.uniform(size=50) < 0.4).astype(int)
-        det = baselines.build_detector(kind) if kind != "pca" else baselines.PcaDetector(rank=2)
-        det.fit(train, y) if det.supervision == baselines.STAD else det.fit(train)
-        path = tmp_path / f"{kind}.ckpt"
-        baselines.save_detector(det, path)
-        loaded = baselines.load_detector(path)
-        test = rng.standard_normal((15, 3))
-        assert np.allclose(det.score(test), loaded.score(test), atol=1e-15)
+        fitted_round_trip(fitted(kind), tmp_path)
 
     def test_stand_detector_round_trip(self, tmp_path):
-        rng = make_rng(14)
-        values = rng.standard_normal((60, 3))
-        labels = (rng.uniform(size=60) < 0.3).astype(int)
-        cfg = stand.StandConfig(input_channels=3, d_model=4, window=6, epochs=2, seed=1)
-        det = baselines.StandDetector(cfg, train_stride=3).fit(values, labels)
-        path = tmp_path / "stand.ckpt"
-        baselines.save_detector(det, path)
-        loaded = baselines.load_detector(path)
-        test = rng.standard_normal((30, 3))
-        assert np.array_equal(det.score(test), loaded.score(test))
+        fitted_round_trip(fitted("stand"), tmp_path)
+
+
+_NORM = ["norm.mean", "norm.std"]
+_STAND_CONFIG = ["batch_size", "bidirectional", "d_model", "epochs", "infer_stride",
+                 "input_channels", "learning_rate", "mlp_layers", "optimizer", "seed",
+                 "tem_layers", "train_stride", "use_embedding", "use_tem", "window"]
+_STAND_TENSORS = [f"det.embed.{i}.{n}" for i in (0, 1) for n in ("b", "beta", "gain", "w")] + [
+    "det.head.b", "det.head.w"] + [
+    f"det.lstm.0.{d}.{n}" for d in ("bwd", "fwd") for n in ("b", "w_hh", "w_ih")]
+# The fitted-checkpoint layout per kind: (detector config keys, sorted tensor names).
+FITTED_LAYOUT = {
+    "random": (["seed"], _NORM),
+    "pca": (["rank"], ["det.components", "det.mean"] + _NORM),
+    "knn": (["k"], ["det.train"] + _NORM),
+    "kmeans": (["n_clusters", "seed"], ["det.centroids"] + _NORM),
+    "logreg": (["epochs", "learning_rate"], ["det.b", "det.w"] + _NORM),
+    "stand": (_STAND_CONFIG, _STAND_TENSORS + _NORM),
+}
+
+
+def fitted_round_trip(det, tmp_path):
+    """save_fitted writes the pinned layout, and load_fitted restores the state."""
+    stats = NormStats(mean=np.array([0.5, -1.0, 2.0]), std=np.array([1.0, 2.0, 0.25]))
+    path = tmp_path / f"{det.kind}.ckpt"
+    bench.save_fitted(path, det, stats)
+    blob = path.read_bytes()
+    assert blob[:4] == checkpoint.MAGIC
+    header = json.loads(blob[8 : 8 + int.from_bytes(blob[4:8], "little")])
+    config_keys, tensor_names = FITTED_LAYOUT[det.kind]
+    assert header["version"] == checkpoint.FORMAT_VERSION == 1
+    assert header["kind"] == det.kind
+    assert sorted(header["config"]) == ["detector"]
+    assert sorted(header["config"]["detector"]) == config_keys
+    assert [t["name"] for t in header["tensors"]] == sorted(tensor_names)
+
+    loaded, loaded_stats = bench.load_fitted(path)
+    assert type(loaded) is type(det)
+    assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+    assert loaded_stats.std.tobytes() == stats.std.tobytes()
+    config, tensors = det.state()
+    loaded_config, loaded_tensors = loaded.state()
+    assert loaded_config == config
+    for name, value in tensors.items():
+        assert np.asarray(loaded_tensors[name]).tobytes() == np.asarray(value).tobytes()
 
 
 class TestCategoryOrdering:

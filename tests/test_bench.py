@@ -10,7 +10,8 @@ from standbench.bench import ExperimentConfig, ResultsTable
 from standbench.data import (SyntheticSpec, generate_synthetic, write_csv, zscore_apply,
                              zscore_fit)
 from standbench.exceptions import ConfigError, IngestError
-from standbench.metrics import MetricReport
+from standbench.metrics import MetricReport, write_scores_csv
+from standbench.ndcore import make_rng
 
 
 def small_spec_dict(seed=3, T=900):
@@ -365,6 +366,40 @@ class TestCli:
         assert cli.main(["split", "--data", str(tmp_path / "nope.csv"),
                          "--threshold", "0.2"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        {"detectors": [{"kind": "knn", "kk": 3}]},
+        {"detectors": [{"kind": "random"}, {"kind": "stand", "d_model": 8, "window": 16}]},
+        {"metrics": {"buffer_max": 4, "mc_draw": 8}},
+        {"metrics": {"mc_draws": 0}},
+        {"metrics": {"buffer_max": -1}},
+        {"seed": [0]},
+    ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
+            "negative_buffer", "top_level_key"])
+    def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, edit):
+        doc = {**small_config(tmp_path).to_dict(), **edit}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(doc)
+        assert cli.main(["bench", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(doc["output_dir"])  # rejected before any cell ran
+
+    def test_exit_code_two_on_malformed_train_and_evaluate(self, tmp_path):
+        data_path = tmp_path / "data.csv"
+        write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), data_path)
+        det_path = tmp_path / "det.json"
+        det_path.write_text(json.dumps({"kind": "knn", "kk": 3}))
+        assert cli.main(["train", "--data", str(data_path), "--threshold", "0.1",
+                         "--detector", str(det_path), "--out", str(tmp_path / "m.ckpt")]) == 2
+        scores_path = tmp_path / "scores.csv"
+        write_scores_csv(scores_path, make_rng(0).uniform(size=900))
+        evaluate = ["evaluate", "--scores", str(scores_path), "--data", str(data_path),
+                    "--out", str(tmp_path / "r.json")]
+        assert cli.main(evaluate) == 0
+        assert cli.main(evaluate + ["--mc-draws", "0"]) == 2
+        assert cli.main(evaluate + ["--buffer-max", "-1"]) == 2
+
     def test_exit_code_two_on_non_finite_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,label\n0.5,0\nnan,1\n0.25,0\n")
@@ -464,6 +499,16 @@ class TestFittedCheckpoint:
         path.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(IngestError):
             checkpoint.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind, config", [("iforest", {}), ("knn", {"kk": 3}),
+                                              ("pca", {"rank": 2})])
+    def test_checkpoint_without_detector_state_is_ingest_error(self, tmp_path, kind, config):
+        # an unknown kind, an unknown config key, a missing tensor
+        path = tmp_path / "bad.ckpt"
+        norm = {"norm.mean": np.zeros(3), "norm.std": np.ones(3)}
+        checkpoint.save_checkpoint(path, kind, {"detector": config}, norm)
+        with pytest.raises(IngestError):
+            bench.load_fitted(path)
 
     def test_checkpoint_without_normalization_is_ingest_error(self, tmp_path):
         path = tmp_path / "plain.ckpt"

@@ -329,6 +329,14 @@ class TestCce:
 
 
 class TestEvaluate:
+    def test_config_rejects_settings_that_average_nothing(self):
+        # zero Monte-Carlo draws or a negative VUS buffer would report NaN
+        with pytest.raises(ConfigError):
+            metrics.MetricsConfig(mc_draws=0)
+        with pytest.raises(ConfigError):
+            metrics.MetricsConfig(buffer_max=-1)
+        assert metrics.MetricsConfig(buffer_max=0, mc_draws=1).to_dict()["mc_draws"] == 1
+
     def test_perfect_report(self):
         y = np.zeros(300, dtype=int)
         y[40:60] = 1

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from lstm_oracle import layernorm
 from standbench import stand
 from standbench.exceptions import ConfigError
-from standbench.ndcore import gelu, layernorm, make_rng, sigmoid
+from standbench.ndcore import gelu, make_rng, sigmoid
 
 
 def tiny_config(**kw):
@@ -75,7 +76,8 @@ class TestEmbedForward:
         rng = make_rng(4)
         x = rng.standard_normal((8, 3))
         x[7] = x[1]
-        out, _ = stand.embed_forward(x, p, cfg)
+        _, trace = stand.forward(x, p, cfg)
+        out = trace.h_embed[0]
         assert np.array_equal(out[7], out[1])
 
     def test_bypass_passes_input_through(self):
@@ -92,11 +94,17 @@ class TestEmbedForward:
         p["embed.0.w"] = np.eye(3)
         p["embed.0.b"] = np.zeros(3)
         x = make_rng(6).standard_normal((4, 3))
-        out, _ = stand.embed_forward(x, p, cfg)
+        _, trace = stand.forward(x, p, cfg)
         for t in range(4):
             expected = layernorm(gelu(x[t]), np.ones(3), np.zeros(3),
                                  eps=stand.LAYERNORM_EPS)
-            assert np.allclose(out[t], expected, atol=1e-12)
+            assert np.allclose(trace.h_embed[0, t], expected, atol=1e-12)
+
+
+def encoder_output(x, p, cfg):
+    """The temporal encoder's (T, width) output for one (T, C) window."""
+    _, trace = stand.forward(x, p, cfg)
+    return trace.h_enc[0]
 
 
 class TestBilstmForward:
@@ -106,7 +114,7 @@ class TestBilstmForward:
         for key in list(p):
             if key.startswith("lstm."):
                 p[key] = np.zeros_like(p[key])
-        out, _ = stand.bilstm_forward(make_rng(0).standard_normal((5, 3)), p, cfg)
+        out = encoder_output(make_rng(0).standard_normal((5, 3)), p, cfg)
         assert np.allclose(out, 0.0)
 
     def test_unidirectional_equals_forward_half(self):
@@ -117,8 +125,8 @@ class TestBilstmForward:
         for suffix in ("w_ih", "w_hh", "b"):
             p_uni[f"lstm.0.fwd.{suffix}"] = p_bi[f"lstm.0.fwd.{suffix}"]
         x = make_rng(1).standard_normal((7, 3))
-        out_bi, _ = stand.bilstm_forward(x, p_bi, cfg_bi)
-        out_uni, _ = stand.bilstm_forward(x, p_uni, cfg_uni)
+        out_bi = encoder_output(x, p_bi, cfg_bi)
+        out_uni = encoder_output(x, p_uni, cfg_uni)
         assert out_uni.shape == (7, 4)
         assert np.allclose(out_bi[:, :4], out_uni, atol=1e-12)
 
@@ -126,7 +134,7 @@ class TestBilstmForward:
         cfg = tiny_config(use_embedding=False, bidirectional=False, d_model=2)
         p = stand.init_params(cfg)
         x = make_rng(2).standard_normal((3, 3))
-        out, _ = stand.bilstm_forward(x, p, cfg)
+        out = encoder_output(x, p, cfg)
         ref = reference_lstm(x, p["lstm.0.fwd.w_ih"], p["lstm.0.fwd.w_hh"],
                              p["lstm.0.fwd.b"])
         assert np.allclose(out, ref, atol=1e-10)
@@ -135,7 +143,7 @@ class TestBilstmForward:
         cfg = tiny_config(use_embedding=False, d_model=2)
         p = stand.init_params(cfg)
         x = make_rng(3).standard_normal((5, 3))
-        out, _ = stand.bilstm_forward(x, p, cfg)
+        out = encoder_output(x, p, cfg)
         ref = reference_lstm(x[::-1], p["lstm.0.bwd.w_ih"], p["lstm.0.bwd.w_hh"],
                              p["lstm.0.bwd.b"])[::-1]
         assert np.allclose(out[:, 2:], ref, atol=1e-10)
@@ -143,37 +151,47 @@ class TestBilstmForward:
     def test_identity_when_tem_disabled(self):
         cfg = tiny_config(use_tem=False)
         p = stand.init_params(cfg)
-        h = make_rng(4).standard_normal((6, 4))
-        out, _ = stand.bilstm_forward(h, p, cfg)
-        assert np.array_equal(out, h)
+        _, trace = stand.forward(make_rng(4).standard_normal((6, 3)), p, cfg)
+        assert trace.h_embed.shape == (1, 6, 4)
+        assert np.array_equal(trace.h_enc, trace.h_embed)
 
 
 class TestScoreForward:
     def test_zero_weight_constant_logits(self):
-        p = {"head.w": np.zeros(4), "head.b": np.array([1.5])}
-        out = stand.score_forward(np.ones((6, 4)), p)
-        assert np.allclose(out, 1.5)
+        cfg = tiny_config()
+        p = stand.init_params(cfg)
+        p["head.w"] = np.zeros(8)
+        p["head.b"] = np.array([1.5])
+        logits, _ = stand.forward(make_rng(4).standard_normal((6, 3)), p, cfg)
+        assert np.allclose(logits, 1.5)
 
     def test_linearity(self):
+        cfg = tiny_config()
         rng = make_rng(5)
-        h = rng.standard_normal((5, 4))
-        p = {"head.w": rng.standard_normal(4), "head.b": np.array([0.3])}
-        doubled = {"head.w": 2 * p["head.w"], "head.b": 2 * p["head.b"]}
-        assert np.allclose(stand.score_forward(h, doubled),
-                           2 * stand.score_forward(h, p), atol=1e-12)
+        p = stand.init_params(cfg)
+        p["head.w"] = rng.standard_normal(8)
+        p["head.b"] = np.array([0.3])
+        doubled = {**p, "head.w": 2 * p["head.w"], "head.b": 2 * p["head.b"]}
+        x = rng.standard_normal((5, 3))
+        assert np.allclose(stand.forward(x, doubled, cfg)[0],
+                           2 * stand.forward(x, p, cfg)[0], atol=1e-12)
 
     def test_dot_product_oracle(self):
+        cfg = tiny_config()
         rng = make_rng(6)
-        h = rng.standard_normal((5, 4))
-        p = {"head.w": rng.standard_normal(4), "head.b": np.array([-0.2])}
-        out = stand.score_forward(h, p)
+        p = stand.init_params(cfg)
+        p["head.w"] = rng.standard_normal(8)
+        p["head.b"] = np.array([-0.2])
+        out, trace = stand.forward(rng.standard_normal((5, 3)), p, cfg)
         for t in range(5):
-            assert out[t] == pytest.approx(float(np.dot(h[t], p["head.w"]) - 0.2))
+            assert out[t] == pytest.approx(float(np.dot(trace.h_enc[0, t], p["head.w"]) - 0.2))
 
     def test_width_mismatch(self):
+        cfg = tiny_config()
+        p = stand.init_params(cfg)
+        p["head.w"] = np.zeros(5)  # the encoder is 8 wide
         with pytest.raises(ConfigError):
-            stand.score_forward(np.ones((3, 5)), {"head.w": np.zeros(4),
-                                                  "head.b": np.array([0.0])})
+            stand.check_params(p, cfg)
 
 
 class TestForward:
@@ -196,14 +214,24 @@ class TestForward:
         assert np.allclose(lmix, 0.5 * (l1 + l2), atol=1e-12)
 
     def test_full_pipeline_matches_chained_ops(self):
+        # per-timestep affine -> GELU -> LayerNorm layers, both LSTM directions
+        # from the naive loop, then the dot-product head
         cfg = tiny_config()
         p = stand.init_params(cfg)
         x = make_rng(9).standard_normal((6, 3))
         logits, trace = stand.forward(x, p, cfg)
-        h_e, _ = stand.embed_forward(x, p, cfg)
-        h_enc, _ = stand.bilstm_forward(h_e, p, cfg)
-        assert np.allclose(logits, stand.score_forward(h_enc, p), atol=1e-12)
+        h = x
+        for i in range(cfg.mlp_layers):
+            h = np.stack([layernorm(gelu(p[f"embed.{i}.w"] @ h_t + p[f"embed.{i}.b"]),
+                                    p[f"embed.{i}.gain"], p[f"embed.{i}.beta"],
+                                    eps=stand.LAYERNORM_EPS) for h_t in h])
+        fwd = reference_lstm(h, p["lstm.0.fwd.w_ih"], p["lstm.0.fwd.w_hh"], p["lstm.0.fwd.b"])
+        bwd = reference_lstm(h[::-1], p["lstm.0.bwd.w_ih"], p["lstm.0.bwd.w_hh"],
+                             p["lstm.0.bwd.b"])[::-1]
+        h_enc = np.concatenate([fwd, bwd], axis=1)
+        assert np.allclose(trace.h_embed[0], h, atol=1e-12)
         assert np.allclose(trace.h_enc[0], h_enc, atol=1e-12)
+        assert np.allclose(logits, h_enc @ p["head.w"] + p["head.b"][0], atol=1e-12)
 
     def test_wrong_channel_count(self):
         cfg = tiny_config()
