@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stand as stand_mod
 from .data import TimeSeriesDataset, make_windows
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError, ContractError, config_int
 from .ndcore import make_rng, sigmoid
 
 UTAD = "UTAD-I"
@@ -41,7 +41,7 @@ class RandomDetector:
     seeded = True
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
+        self.seed = config_int("seed", seed)
 
     def fit(self, values, labels=None):
         return self
@@ -65,7 +65,7 @@ class PcaDetector:
     seeded = False
 
     def __init__(self, rank: int = 10):
-        self.rank = rank
+        self.rank = config_int("rank", rank)
         self.mean_ = None
         self.components_ = None  # (k, C)
 
@@ -114,9 +114,9 @@ class KnnDetector:
     seeded = False
 
     def __init__(self, k: int = 5):
-        if k < 1:
+        self.k = config_int("k", k)
+        if self.k < 1:
             raise ConfigError("knn needs k >= 1")
-        self.k = k
         self.train_ = None
 
     def fit(self, values, labels=None):
@@ -171,10 +171,10 @@ class KmeansDetector:
     seeded = True
 
     def __init__(self, n_clusters: int = 10, seed: int = 0):
-        if n_clusters < 1:
+        self.n_clusters = config_int("n_clusters", n_clusters)
+        self.seed = config_int("seed", seed)
+        if self.n_clusters < 1:
             raise ConfigError("kmeans needs n_clusters >= 1")
-        self.n_clusters = n_clusters
-        self.seed = seed
         self.centroids_ = None
 
     def fit(self, values, labels=None):
@@ -235,7 +235,7 @@ class LogRegDetector:
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 500):
         self.learning_rate = learning_rate
-        self.epochs = epochs
+        self.epochs = config_int("epochs", epochs)
         self.w_ = None
         self.b_ = 0.0
 
@@ -283,8 +283,8 @@ class StandDetector:
 
     def __init__(self, train_stride: int = 2, infer_stride: int | None = None, **config):
         self.config = stand_mod.StandConfig(**config)
-        self.train_stride = min(train_stride, self.config.window)
-        self.infer_stride = infer_stride
+        self.train_stride = min(config_int("train_stride", train_stride), self.config.window)
+        self.infer_stride = None if infer_stride is None else config_int("infer_stride", infer_stride)
         self.params_ = None
         self.loss_history_ = None
 

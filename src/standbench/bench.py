@@ -31,7 +31,7 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .exceptions import ConfigError, IngestError, StandbenchError
+from .exceptions import ConfigError, IngestError, StandbenchError, config_int
 from .metrics import MetricReport, MetricsConfig, evaluate
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
@@ -116,10 +116,12 @@ def materialize_dataset(entry: dict, seed: int) -> TimeSeriesDataset:
 
 
 def _build_seeded_detector(entry: dict, seed: int):
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a detector entry must be a JSON object, got {entry!r}")
     cfg = {k: v for k, v in entry.items() if k not in ("kind", "label")}
     kind = entry.get("kind")
     if kind in DETECTOR_KINDS and DETECTOR_KINDS[kind].seeded:
-        cfg["seed"] = int(cfg.get("seed", 0)) + seed
+        cfg["seed"] = config_int("seed", cfg.get("seed", 0)) + seed
     return build_detector(kind, **cfg)
 
 

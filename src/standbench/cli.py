@@ -22,15 +22,22 @@ from .data import (
     write_csv,
     zscore_apply,
 )
-from .exceptions import StandbenchError
+from .exceptions import ConfigError, StandbenchError
 from .metrics import MetricsConfig, evaluate, read_scores_csv, write_report, write_scores_csv
 
 
 def _parse_segment(text: str | None, T: int) -> tuple[int, int]:
+    """``start:end`` (either side may be empty) as a non-empty range inside [0, T]."""
     if not text:
         return 0, T
     lo, _, hi = text.partition(":")
-    return int(lo or 0), int(hi or T)
+    try:
+        lo, hi = int(lo or 0), int(hi or T)
+    except ValueError:
+        raise ConfigError(f"--segment must be start:end with integer bounds, got {text!r}") from None
+    if not 0 <= lo < hi <= T:
+        raise ConfigError(f"--segment {text!r} is not a non-empty range inside [0, {T}]")
+    return lo, hi
 
 
 def cmd_generate(args) -> int:
@@ -53,7 +60,7 @@ def cmd_train(args) -> int:
     ds = load_csv(args.data, args.label_column)
     with open(args.detector, encoding="utf-8") as fh:
         entry = json.load(fh)
-    if entry.get("kind") == "stand":
+    if isinstance(entry, dict) and entry.get("kind") == "stand":
         entry.setdefault("input_channels", ds.channels)
     detector, split, stats, _ = bench_mod.fit_on_prefix(ds, args.threshold, entry)
     save_fitted(args.out, detector, stats)
@@ -102,7 +109,10 @@ def cmd_sweep(args) -> int:
     else:
         if not args.axis or not args.values:
             raise StandbenchError("sensitivity sweep needs --axis and --values")
-        values = [int(v) for v in args.values.split(",")]
+        try:
+            values = [int(v) for v in args.values.split(",")]
+        except ValueError:
+            raise ConfigError(f"--values must be comma-separated integers, got {args.values!r}") from None
         _, had_failures = bench_mod.sensitivity_sweep(config, args.axis, values)
     print(f"sweep results written under {config.output_dir}")
     return 1 if had_failures else 0
@@ -185,10 +195,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StandbenchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (StandbenchError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

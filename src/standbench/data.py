@@ -194,6 +194,7 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
     path = os.fspath(path)
     if not os.path.exists(path):
         raise IngestError(f"no such file: {path}")
+    name = os.path.splitext(os.path.basename(path))[0]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -207,6 +208,19 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
         chan_idx = [i for i in range(len(header)) if i != label_idx]
         if not chan_idx:
             raise IngestError(f"{path}: no value columns besides '{label_column}'")
+        cells = _bulk_cells(path, len(header))
+        if cells is not None:
+            values = cells[:, chan_idx]
+            labels = cells[:, label_idx] if label_idx is not None else None
+            if np.all(np.isfinite(values)) and (
+                labels is None or np.all((labels == 0) | (labels == 1))
+            ):
+                return TimeSeriesDataset(
+                    name=name, values=values,
+                    labels=labels.astype(np.int64) if labels is not None else None,
+                )
+        # the row-by-row reader accepts what the bulk parse does not, and names
+        # the row and column of what neither accepts
         rows, labels = [], []
         for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
             if len(row) != len(header):
@@ -245,12 +259,36 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
             f"{path}: row {r + 2}, column '{header[chan_idx[j]]}': "
             f"non-finite cell {float(values[r, j])!r}"
         )
-    name = os.path.splitext(os.path.basename(path))[0]
     return TimeSeriesDataset(
         name=name,
         values=values,
         labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
     )
+
+
+def _bulk_cells(path: str, width: int) -> np.ndarray | None:
+    """Every data cell of a CSV as a (rows, width) float64 array from one
+    vectorized parse, or None where the file needs the row-by-row reader:
+    quotes, bare carriage returns, blank or ragged rows, unparsable cells.
+
+    The parse rounds each decimal like ``float()``, so both readers give the
+    same bits.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # loadtxt skips blank lines, which the csv reader reports as rows
+    simple = not (b'"' in raw or b"\n\n" in raw or b"\n\r\n" in raw
+                  or raw.count(b"\r") != raw.count(b"\r\n"))
+    has_rows = raw.find(b"\n") not in (-1, len(raw) - 1)
+    del raw
+    if not (simple and has_rows):
+        return None
+    try:
+        cells = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                           encoding="utf-8")
+    except ValueError:
+        return None
+    return cells if cells.shape[1] == width else None
 
 
 def write_csv(ds: TimeSeriesDataset, path, label_column: str = "label") -> None:

@@ -1,5 +1,7 @@
 """Shared exception types, one per error category used across the package."""
 
+import operator
+
 
 class StandbenchError(Exception):
     """Base class for all package errors."""
@@ -23,3 +25,13 @@ class ContractError(StandbenchError):
 
 class MetricError(StandbenchError):
     """Metric undefined for the given inputs (e.g. single-class labels)."""
+
+
+def config_int(name: str, value) -> int:
+    """An integer hyperparameter: whatever ``operator.index`` takes, but no bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -372,24 +372,22 @@ def vus_pr(scores, labels, buffer_max: int = DEFAULT_BUFFER_MAX) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cce(scores, labels) -> float:
+def cce(scores, labels, auc: float | None = None) -> float:
     """Confidence-consistency score: global agreement times local smoothness.
 
     ``A`` recenters AUC-ROC at chance (0) on [-1, 1]; ``G`` penalizes score
     wobble inside constant-label runs (twice the within-run standard deviation
     of min-max normalized scores, averaged over runs, clamped to [0, 1]).
     The product, scaled by 100, is 100 for scores identical to labels and
-    near 0 for random scores.
+    near 0 for random scores. ``auc`` is the scores' AUC-ROC when the caller
+    already has it.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = _check_two_classes(labels)
     if s.shape != y.shape:
         raise ConfigError("scores and labels must have equal length")
-    return _cce(s, y, auc_roc(s, y))
-
-
-def _cce(s: np.ndarray, y: np.ndarray, auc: float) -> float:
-    """CCE of checked scores and labels whose AUC-ROC is already known."""
+    if auc is None:
+        auc = auc_roc(s, y)
     lo, hi = float(s.min()), float(s.max())
     shat = (s - lo) / (hi - lo) if hi > lo else np.full_like(s, 0.5)
     agreement = 2.0 * auc / 100.0 - 1.0
@@ -482,7 +480,7 @@ def evaluate(scores, labels, config: MetricsConfig | None = None,
     ).hexdigest()[:12]
     auc = auc_roc(s, y)
     return MetricReport(
-        cce=_cce(s, y, auc),
+        cce=cce(s, y, auc),
         f1=f1,
         aff_f1=aff,
         uaff_f1=uaff_f1(precision, recall, p0, r0),

@@ -7,18 +7,24 @@ verified against finite differences. Parameters and gradients are flat
 ``dict[str, ndarray]`` keyed like ``"embed.0.w"``, ``"lstm.0.fwd.w_ih"``,
 ``"head.w"``; gradients mirror parameters key for key.
 
-Gate layout inside every ``4d`` LSTM tensor is ``[input, forget, cell, output]``.
+Gate layout inside every ``4d`` LSTM parameter is ``[input, forget, cell,
+output]``. The recurrence works on permuted copies instead: gate-major
+``(4, D, ..., d)`` buffers in the order ``[i, f, o, g]``, with the i/f/o rows
+of ``w_ih``, ``w_hh`` and ``b`` halved (see ``_lstm_weights``), so one
+``tanh`` over a contiguous block gives all four gates. BPTT writes its gate
+gradients back in the parameter order.
 """
 
 from __future__ import annotations
 
-import time
+import math
+import mmap
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .data import WindowSet, reassemble, window_starts
-from .exceptions import ConfigError, ContractError
+from .exceptions import ConfigError, ContractError, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
 
 LAYERNORM_EPS = 1e-5
@@ -48,6 +54,9 @@ class StandConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_channels", "d_model", "mlp_layers", "tem_layers", "window",
+                     "epochs", "batch_size", "seed"):
+            setattr(self, name, config_int(name, getattr(self, name)))
         if self.input_channels < 1:
             raise ConfigError("input_channels must be >= 1")
         if self.d_model < 1 or self.tem_layers < 1 or self.mlp_layers < 1:
@@ -144,37 +153,43 @@ class _EmbedLayerCache:
 
 @dataclass
 class _LstmCache:
-    """One layer, all directions, step-major: row s of a (W, D, B, .) array is
-    step s of each direction in its own processing order (the backward
-    direction's step s reads timestep W-1-s)."""
+    """One layer, all directions, step-major: step s of each array is step s
+    of each direction in its own processing order (the backward direction's
+    step s reads timestep W-1-s)."""
 
     x: np.ndarray  # layer input (B, W, in), natural time order
-    gates: np.ndarray  # (W, D, B, 4d) activations in [i, f, g, o] order
+    gates: np.ndarray  # (4, D, W, B, d) activations, gate-major [i, f, o, g]
     c: np.ndarray  # (W+1, D, B, d); row 0 is the zero initial state
     tanh_c: np.ndarray  # (W, D, B, d)
     h: np.ndarray  # (W+1, D, B, d); row 0 is the zero initial state
 
 
-def _gate_activations(z, d):
-    """In-place gate nonlinearities on a (..., 4d) pre-activation block.
+class _Workspace:
+    """Named arrays that one caller reuses across passes. Each name owns a flat
+    buffer, grown when a larger shape asks for it, so a short last batch gets
+    a smaller view of the same memory.
 
-    Sigmoid is evaluated as 0.5*(1 + tanh(z/2)) (identical function, saturates
-    without overflow) so one tanh call covers all four gates.
+    The buffers are anonymous memory maps, not heap blocks: they go back to
+    the operating system as soon as the workspace is dropped. Freed to the
+    heap, tens of megabytes of them could stay resident after ``train`` under
+    whatever came next, so peak memory moved with the heap's layout.
     """
-    z[..., : 2 * d] *= 0.5
-    z[..., 3 * d :] *= 0.5
-    np.tanh(z, out=z)
-    z[..., : 2 * d] += 1.0
-    z[..., : 2 * d] *= 0.5
-    z[..., 3 * d :] += 1.0
-    z[..., 3 * d :] *= 0.5
-    return z[..., :d], z[..., d : 2 * d], z[..., 2 * d : 3 * d], z[..., 3 * d :]
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64)
+        return buf[:size].reshape(shape)
 
 
 @dataclass
 class ForwardTrace:
     """Everything the backward pass needs: embedding caches batched as
-    (B, T, ...), LSTM caches step-major as (T, D, B, ...)."""
+    (B, T, ...), LSTM caches step-major, and the workspace they live in."""
 
     x: np.ndarray
     embed: list[_EmbedLayerCache]
@@ -182,6 +197,7 @@ class ForwardTrace:
     lstm: list[_LstmCache]
     h_enc: np.ndarray
     logits: np.ndarray  # (B, T)
+    workspace: _Workspace
 
 
 def _embed_layer_forward(x, w, b, gain, beta, keep: bool = True):
@@ -217,98 +233,139 @@ def _lstm_keys(layer: int, config: StandConfig) -> list[str]:
     return [f"lstm.{layer}.{direction}" for direction in config.directions]
 
 
-def _project(x, keys, params):
-    """Input projection of every direction: (..., in) -> (..., D, 4d)."""
-    out = np.empty(x.shape[:-1] + (len(keys), len(params[keys[0] + ".b"])))
-    for k, key in enumerate(keys):
-        # straight into out: a (..., 4d) temporary would be a third of infer's peak memory
-        np.matmul(x, params[key + ".w_ih"].T, out=out[..., k, :])
-        out[..., k, :] += params[key + ".b"]
-    return out
+def _in_order(a, k: int):
+    """Batch-major (B, W, ...) view in direction k's processing order."""
+    return a if k == 0 else a[:, ::-1]
 
 
-def _step_rows(W: int, D: int, starts) -> np.ndarray:
-    """(W, D, B) input row that each direction reads at each step: the forward
-    direction's step s reads row start+s, the backward one's start+W-1-s."""
+# The working buffers hold gates gate-major in the order [i, f, o, g], so the
+# three sigmoid gates are one block; parameters keep [i, f, g, o].
+_WORKING_GATES = [0, 1, 3, 2]
+# sigmoid(z) = 0.5 * (1 + tanh(z / 2)). Halving the i, f and o rows of w_ih,
+# w_hh and b is exact in binary floating point, so the tanh of a working
+# pre-activation is the sigmoid's tanh bit for bit, with no scaling pass.
+_ROW_SCALE = np.array([0.5, 0.5, 0.5, 1.0]).reshape(4, 1, 1, 1)
+
+
+def _lstm_weights(params, config: StandConfig) -> list[tuple]:
+    """Every layer's (w_ih, w_hh, b) in the working layout: (4, D, in, d),
+    (4, D, d, d) and (4, D, 1, d), gate-major, i/f/o halved, C-contiguous (a
+    transposed operand takes a BLAS path whose rounding depends on the batch
+    size, which would break batch-grouping invariance)."""
+
+    def working(keys, name):
+        w = np.stack([params[f"{key}.{name}"] for key in keys])
+        w = w.reshape(len(keys), 4, w.shape[1] // 4, -1)[:, _WORKING_GATES].transpose(1, 0, 3, 2)
+        return np.multiply(w, _ROW_SCALE, out=np.empty(w.shape))
+
+    return [
+        tuple(working(_lstm_keys(layer, config), name) for name in ("w_ih", "w_hh", "b"))
+        for layer in range(config.tem_layers)
+    ]
+
+
+def _step_rows(W: int, D: int, starts, T: int) -> np.ndarray:
+    """(W, D, B) row of a (4, D*T, d) projection of T series rows that each
+    direction reads at each step: the forward direction's step s reads row
+    start+s of its T rows, the backward one's start+W-1-s."""
     s = np.arange(W)
-    return np.stack((s, W - 1 - s)[:D], axis=1)[:, :, None] + starts
+    return np.stack((s, W - 1 - s)[:D], axis=1)[:, :, None] + starts + T * np.arange(D)[:, None]
 
 
-def _lstm_recurrence(proj, rows, w_hh_t, keep: bool):
+def _lstm_recurrence(step_gates, w_hh, c, tanh_c, h, outs):
     """One time loop over every direction of a layer, one stacked matmul per step.
 
-    ``proj`` (N, D, 4d) holds input projections, and step s of direction k
-    for window b reads row ``rows[s, k, b]``; ``w_hh_t`` (D, d, 4d) holds the
-    transposed recurrent weights. Returns the layer output (B, W, D*d) in
-    natural time order and the step-major caches (gates, c, tanh_c, h): gates
-    (W, D, B, 4d), tanh_c (W, D, B, d), c and h (W+1, D, B, d) with a zero
-    row 0. Without ``keep`` the caches hold only the latest step, so no
-    (W, D, B, .) array is allocated.
+    ``step_gates(s)`` returns step s's (4, D, B, d) working projection, which
+    the loop adds the recurrent product to and turns into the gate activations
+    in place; ``w_hh`` (4, D, d, d) holds the working recurrent weights. c and
+    h (n+1, D, B, d) start from a zero row 0 and tanh_c is (n, D, B, d): n = W
+    keeps every step for the backward, n = 1 only the latest. Direction k
+    writes step s into ``outs[k][:, s]``, a (B, W, d) view in its processing
+    order.
     """
-    W, D, B = rows.shape
-    d4 = proj.shape[-1]
-    d = d4 // 4
-    dirs = np.arange(D)[:, None]
-    out_rows = _step_rows(W, D, np.arange(0, B * W, W))
-    n = W if keep else 1
-    gates = np.empty((n, D, B, d4))
-    tanh_c = np.empty((n, D, B, d))
-    c = np.zeros((n + 1, D, B, d))
-    h = np.zeros((n + 1, D, B, d))
-    rec = np.empty((D, B, d4))
-    out = np.empty((B * W, D, d))
-    for s in range(W):
+    n = len(tanh_c)
+    rec = np.empty(w_hh.shape[:2] + h.shape[2:])
+    for s in range(outs[0].shape[1]):
         prev, cur = s % (n + 1), (s + 1) % (n + 1)
-        z = gates[s % n]
-        np.add(proj[rows[s], dirs], np.matmul(h[prev], w_hh_t, out=rec), out=z)
-        i_t, f_t, g_t, o_t = _gate_activations(z, d)
+        z = step_gates(s)
+        z += np.matmul(h[prev], w_hh, out=rec)
+        np.tanh(z, out=z)
+        sig = z[:3]
+        sig += 1.0
+        sig *= 0.5
+        i_t, f_t, o_t, g_t = z
         c_t, tc_t = c[cur], tanh_c[s % n]
         np.multiply(f_t, c[prev], out=c_t)
-        c_t += i_t * g_t
+        c_t += np.multiply(i_t, g_t, out=rec[0])
         np.tanh(c_t, out=tc_t)
         np.multiply(o_t, tc_t, out=h[cur])
-        out[out_rows[s], dirs] = h[cur]
-    return out.reshape(B, W, D * d), (gates, c, tanh_c, h)
+        for k, out in enumerate(outs):
+            out[:, s] = h[cur, k]
 
 
-def _lstm_stack(h, params, config: StandConfig, keep: bool, proj=None, rows=None):
+def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, keep: bool, proj=None, rows=None):
     """LSTM layers over batch-major windows h (B, W, in) -> ((B, W, D*d), caches).
 
-    ``proj`` (N, D, 4d) and ``rows`` (W, D, B) stand in for layer 0's input
-    projection and the rows its steps read: ``infer`` projects a whole series
-    once, and passes no ``h``.
+    ``weights`` comes from ``_lstm_weights``. ``proj`` (4, D*T, d) and
+    ``rows`` (W, D, B) stand in for layer 0's working projection and the
+    rows its steps read: ``infer`` projects the span of series rows a batch
+    covers, and passes no ``h``.
     """
+    D, d = len(config.directions), config.d_model
     caches: list[_LstmCache] = []
-    for layer in range(config.tem_layers):
-        keys = _lstm_keys(layer, config)
+    for layer, (w_ih, w_hh, b) in enumerate(weights):
         if proj is None:
             B, W = h.shape[:2]
-            proj = _project(h.reshape(B * W, -1), keys, params)
-            rows = _step_rows(W, len(keys), np.arange(0, B * W, W))
-        # C-contiguous: a transposed operand takes a BLAS path whose rounding
-        # depends on the batch size, which would break batch-grouping invariance
-        w_hh_t = np.stack([np.ascontiguousarray(params[key + ".w_hh"].T) for key in keys])
-        out, (gates, c, tanh_c, steps) = _lstm_recurrence(proj, rows, w_hh_t, keep)
+            # each direction's input step-major in its processing order: one
+            # GEMM projects it, and step s is a basic slice of the result
+            xs = ws.array(f"lstm.{layer}.xs", (D, W, B, h.shape[2]))
+            for k in range(D):
+                xs[k] = _in_order(h, k).transpose(1, 0, 2)
+            gates = ws.array(f"lstm.{layer}.gates", (4, D, W, B, d))
+            np.matmul(xs.reshape(D, W * B, -1), w_ih, out=gates.reshape(4, D, W * B, d))
+            gates += b[:, :, None]
+            step_gates = lambda s: gates[:, :, s]
+        else:
+            W, _, B = rows.shape
+            gates = ws.array(f"lstm.{layer}.gates", (4, D, B, d))
+            step_gates = lambda s: np.take(proj, rows[s], axis=1, out=gates, mode="clip")
+        n = W if keep else 1
+        c = ws.array(f"lstm.{layer}.c", (n + 1, D, B, d))
+        steps = ws.array(f"lstm.{layer}.h", (n + 1, D, B, d))
+        tanh_c = ws.array(f"lstm.{layer}.tanh_c", (n, D, B, d))
+        out = ws.array(f"lstm.{layer}.out", (B, W, D, d))
+        c[0] = 0.0
+        steps[0] = 0.0
+        _lstm_recurrence(step_gates, w_hh, c, tanh_c, steps,
+                         [_in_order(out[:, :, k], k) for k in range(D)])
         if keep:
             caches.append(_LstmCache(x=h, gates=gates, c=c, tanh_c=tanh_c, h=steps))
-        h, proj = out, None
+        h, proj = out.reshape(B, W, D * d), None
     return h, caches
 
 
 def forward_batch(
-    x: np.ndarray, params: dict[str, np.ndarray], config: StandConfig
+    x: np.ndarray, params: dict[str, np.ndarray], config: StandConfig,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Batched forward over (B, T, C) windows; returns (logits (B, T), trace)."""
+    """Batched forward over (B, T, C) windows; returns (logits (B, T), trace).
+
+    The trace's LSTM arrays live in ``workspace`` (a fresh one by default), so
+    a trace stays valid only until the next pass on the same workspace.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != config.input_channels:
         raise ConfigError(f"expected input (B, T, {config.input_channels}), got {x.shape}")
+    ws = workspace if workspace is not None else _Workspace()
     h_embed, embed_caches = _embed(x, params, config)
     h_enc, lstm_caches = h_embed, []
     if config.use_tem:
-        h_enc, lstm_caches = _lstm_stack(h_embed, params, config, keep=True)
+        h_enc, lstm_caches = _lstm_stack(h_embed, _lstm_weights(params, config), config, ws,
+                                         keep=True)
     logits = h_enc @ params["head.w"] + params["head.b"][0]
     return logits, ForwardTrace(
-        x=x, embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits
+        x=x, embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits,
+        workspace=ws,
     )
 
 
@@ -346,34 +403,42 @@ def _layernorm_backward(dy, cache: _EmbedLayerCache, gain):
     return dg, dgain, dbeta
 
 
-def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh):
+def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh, dz_all):
     """BPTT through ``_lstm_recurrence`` for every direction at once.
 
     ``dh_steps`` (W, D, B, d) is the loss gradient of each step's output and
-    ``w_hh`` (D, 4d, d) the recurrent weights. Returns the gate pre-activation
-    gradients dz (D, B, W, 4d), batch-major with each direction's steps in its
-    processing order, so the weight-gradient sums run over (batch, step).
+    ``w_hh`` (D, 4d, d) the recurrent weights. Fills ``dz_all`` (D, B, W, 4d)
+    with the gate pre-activation gradients in the parameter order
+    [i, f, g, o], batch-major with each direction's steps in its processing
+    order, so the weight-gradient sums run over (batch, step) as before.
     """
     W, D, B, d = dh_steps.shape
-    dz_all = np.empty((D, B, W, 4 * d))
-    dh_rec = np.zeros((D, B, d))
+    dz_steps = dz_all.reshape(D, B, W, 4, d)
+    part = np.empty((4, D, B, d))  # one step's dz, gate-major in the parameter order
+    one_minus = np.empty((3, D, B, d))
+    dh = np.zeros((D, B, d))
     dc_rec = np.zeros((D, B, d))
     for s in range(W - 1, -1, -1):
-        dh = dh_steps[s] + dh_rec
+        dh += dh_steps[s]
+        gates = cache.gates[:, :, s]
+        i_t, f_t, o_t, g_t = gates
         tc = cache.tanh_c[s]
-        step = cache.gates[s]
-        i_t, f_t = step[..., :d], step[..., d : 2 * d]
-        g_t, o_t = step[..., 2 * d : 3 * d], step[..., 3 * d :]
-        do = dh * tc
-        dc = dh * o_t * (1.0 - tc * tc) + dc_rec
-        dz = dz_all[:, :, s]
-        dz[..., :d] = dc * g_t * i_t * (1.0 - i_t)
-        dz[..., d : 2 * d] = dc * cache.c[s] * f_t * (1.0 - f_t)
-        dz[..., 2 * d : 3 * d] = dc * i_t * (1.0 - g_t * g_t)
-        dz[..., 3 * d :] = do * o_t * (1.0 - o_t)
-        dh_rec = np.matmul(dz, w_hh)
-        dc_rec = dc * f_t
-    return dz_all
+        dc = dh * o_t
+        dc *= 1.0 - tc * tc
+        dc += dc_rec
+        np.subtract(1.0, gates[:3], out=one_minus)
+        np.multiply(dc, g_t, out=part[0])
+        np.multiply(dc, cache.c[s], out=part[1])
+        np.multiply(dh, tc, out=part[3])
+        part[:2] *= gates[:2]
+        part[3] *= o_t
+        part[:2] *= one_minus[:2]
+        part[3] *= one_minus[2]
+        np.multiply(dc, i_t, out=part[2])
+        part[2] *= 1.0 - g_t * g_t
+        dz_steps[:, :, s] = part.transpose(1, 2, 0, 3)
+        np.matmul(dz_all[:, :, s], w_hh, out=dh)
+        np.multiply(dc, f_t, out=dc_rec)
 
 
 def backward(
@@ -395,25 +460,33 @@ def backward(
     dh = dlogits[..., None] * params["head.w"]
 
     if config.use_tem:
-        rows = _step_rows(T, len(config.directions), np.arange(0, B * T, T))
+        D, d = len(config.directions), config.d_model
+        ws = trace.workspace
         for layer in range(config.tem_layers - 1, -1, -1):
             cache = trace.lstm[layer]
             keys = _lstm_keys(layer, config)
-            dh_steps = dh.reshape(B * T, len(keys), -1)[rows, np.arange(len(keys))[:, None]]
-            dz_all = _lstm_recurrence_backward(
-                cache, dh_steps, np.stack([params[key + ".w_hh"] for key in keys])
+            dh_steps = ws.array("bptt.dh", (T, D, B, d))
+            for k in range(D):
+                dh_steps[:, k] = _in_order(dh.reshape(B, T, D, d)[:, :, k], k).transpose(1, 0, 2)
+            dz_all = ws.array("bptt.dz", (D, B, T, 4 * d))
+            _lstm_recurrence_backward(
+                cache, dh_steps, np.stack([params[key + ".w_hh"] for key in keys]), dz_all
             )
-            dh = None
+            # each direction's layer input in its processing order beside its
+            # h_{t-1}: one GEMM gives both weight gradients
+            n_in = cache.x.shape[2]
+            operands = ws.array("bptt.operands", (D, B, T, n_in + d))
+            for k in range(D):
+                operands[k, :, :, :n_in] = _in_order(cache.x, k)
+                operands[k, :, :, n_in:] = cache.h[:-1, k].transpose(1, 0, 2)
             for k, key in enumerate(keys):
-                dz = dz_all[k]
-                dz_flat = dz.reshape(B * T, -1)
-                x = cache.x if k == 0 else cache.x[:, ::-1]
-                h_prev = cache.h[:-1, k].transpose(1, 0, 2)
-                grads[key + ".w_ih"] = dz_flat.T @ x.reshape(B * T, -1)
-                grads[key + ".w_hh"] = dz_flat.T @ h_prev.reshape(B * T, -1)
+                dz_flat = dz_all[k].reshape(B * T, -1)
+                dw = dz_flat.T @ operands[k].reshape(B * T, -1)
+                grads[key + ".w_ih"] = np.ascontiguousarray(dw[:, :n_in])
+                grads[key + ".w_hh"] = np.ascontiguousarray(dw[:, n_in:])
                 grads[key + ".b"] = dz_flat.sum(axis=0)
-                dx = dz @ params[key + ".w_ih"]
-                dh = dx if k == 0 else dh + dx[:, ::-1]
+            dx = np.matmul(dz_all, np.stack([params[key + ".w_ih"] for key in keys])[:, None])
+            dh = dx[0] + dx[1][:, ::-1] if D == 2 else dx[0]
 
     if config.use_embedding:
         for layer in range(config.mlp_layers - 1, -1, -1):
@@ -502,6 +575,8 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     state = AdamState.for_params(params) if config.optimizer == "adam" else None
     shuffle_rng = make_rng(config.seed, _STREAM_SHUFFLE)
 
+    # the LSTM trace and the BPTT buffers are allocated once and reused by every step
+    workspace = _Workspace()
     history: list[float] = []
     steps = 0
     for _ in range(config.epochs):
@@ -509,7 +584,7 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
         total = 0.0
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            logits, trace = forward_batch(x_all[idx], params, config)
+            logits, trace = forward_batch(x_all[idx], params, config, workspace=workspace)
             loss = bce_loss(logits, y_all[idx])
             grads = backward(trace, y_all[idx], params, config)
             if config.optimizer == "adam":
@@ -520,39 +595,6 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
             steps += 1
         history.append(total / n)
     return TrainResult(params=params, loss_history=history, steps=steps)
-
-
-def calibrate_gd_learning_rate(
-    windows: WindowSet, config: StandConfig, steps: int = 100, eta0: float = 1.0
-) -> tuple[float, list[float]]:
-    """Halve eta until `steps` full-batch GD iterations are loss-non-increasing.
-
-    Returns the calibrated eta and its per-step loss history (length steps+1,
-    including the initial loss).
-    """
-    if windows.labels is None:
-        raise ContractError("calibration requires labeled windows")
-    x = windows.values
-    y = windows.labels.astype(np.float64)
-    eta = eta0
-    while eta > 1e-12:
-        params = init_params(config)
-        history = []
-        logits, trace = forward_batch(x, params, config)
-        history.append(bce_loss(logits, y))
-        monotone = True
-        for _ in range(steps):
-            grads = backward(trace, y, params, config)
-            params = gd_step(params, grads, eta)
-            logits, trace = forward_batch(x, params, config)
-            history.append(bce_loss(logits, y))
-            if history[-1] > history[-2]:
-                monotone = False
-                break
-        if monotone:
-            return eta, history
-        eta *= 0.5
-    raise ConfigError("could not calibrate a monotone GD learning rate")
 
 
 def infer(
@@ -566,8 +608,9 @@ def infer(
 
     Returns logits; apply a sigmoid for the probability view. The default
     stride W/2 overlaps windows, which smooths scores at window seams. Each
-    timestep is embedded and projected into the first LSTM layer once; the
-    windows read those rows by index, and no backward trace is kept.
+    timestep is embedded once; each batch projects the span of rows its
+    windows cover into the first LSTM layer, the windows read those rows by
+    index, and no backward trace is kept.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
@@ -579,9 +622,11 @@ def infer(
     starts = window_starts(len(x), W, stride)
     h, _ = _embed(x, params, config, keep=False)
     if config.use_tem:
-        # the whole series, so no projected row depends on batch_size
-        proj = _project(h, _lstm_keys(0, config), params)
-    rows = np.empty((len(starts), W))
+        D, d = len(config.directions), config.d_model
+        weights = _lstm_weights(params, config)
+        w_ih, _, b = weights[0]
+        workspace = _Workspace()
+    scores = np.empty((len(starts), W))
     for lo in range(0, len(starts), batch_size):
         batch = starts[lo : lo + batch_size]
         n = len(batch)
@@ -590,15 +635,24 @@ def infer(
             # kernel that rounds unlike the GEMM of larger batches: run it twice
             batch = np.repeat(batch, 2)
         if config.use_tem:
-            rows_b = _step_rows(W, len(config.directions), batch)
-            h_enc, _ = _lstm_stack(None, params, config, keep=False, proj=proj, rows=rows_b)
+            # the rows the (ascending) windows cover, at least W >= 2 of them: a
+            # GEMM of two or more rows gives each row the bits of a whole-series
+            # projection, so no score depends on batch_size, and the buffer is
+            # bounded by the batch, not the series
+            first, span = batch[0], batch[-1] + W - batch[0]
+            proj = workspace.array("infer.proj", (4, D, span, d))
+            np.matmul(h[first : first + span], w_ih, out=proj)
+            proj += b
+            h_enc, _ = _lstm_stack(None, weights, config, workspace, keep=False,
+                                   proj=proj.reshape(4, D * span, d),
+                                   rows=_step_rows(W, D, batch - first, span))
         else:
             h_enc = h[batch[:, None] + np.arange(W)]
         # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
-        rows[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
+        scores[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
     ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
                    values=None, labels=None)
-    return reassemble(ws, rows)
+    return reassemble(ws, scores)
 
 
 def write_loss_history(path, history) -> None:
@@ -636,21 +690,3 @@ def flop_estimate(config: StandConfig, T: int) -> FlopEstimate:
     temporal = 8 * T * d * d * config.tem_layers * dirs if config.use_tem else 0
     scoring = T * d
     return FlopEstimate(embed=embed, temporal=temporal, scoring=scoring)
-
-
-def timing_probe(config: StandConfig, T: int, repeats: int = 11, seed: int = 0) -> float:
-    """Median wall-clock seconds of a single-window forward at length T.
-
-    One untimed warm-up pass precedes the measurements so allocator and cache
-    effects of the first call do not skew the median.
-    """
-    rng = make_rng(seed)
-    x = rng.standard_normal((T, config.input_channels))
-    params = init_params(config)
-    forward(x, params, config)
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        forward(x, params, config)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))

@@ -2,8 +2,9 @@
 
 These are the per-direction LSTM forward and backward, the batched forward,
 backward and windowed ``infer`` built on them, and the window-by-window
-``reassemble`` loop, kept as they were before the recurrence was fused. The
-embedding, LayerNorm and gate helpers are shared with ``standbench.stand``.
+``reassemble`` loop, kept as they were before the recurrence was fused, with
+the gates in the parameter order [i, f, g, o]. The embedding and LayerNorm
+helpers are shared with ``standbench.stand``.
 ``layernorm`` is the one-vector LayerNorm the batched embedding is compared
 against.
 """
@@ -38,6 +39,19 @@ class Trace:
     logits: np.ndarray
 
 
+def gate_activations(z, d):
+    """In-place gate nonlinearities on a (..., 4d) pre-activation block, the
+    sigmoid evaluated as 0.5*(1 + tanh(z/2))."""
+    z[..., : 2 * d] *= 0.5
+    z[..., 3 * d :] *= 0.5
+    np.tanh(z, out=z)
+    z[..., : 2 * d] += 1.0
+    z[..., : 2 * d] *= 0.5
+    z[..., 3 * d :] += 1.0
+    z[..., 3 * d :] *= 0.5
+    return z[..., :d], z[..., d : 2 * d], z[..., 2 * d : 3 * d], z[..., 3 * d :]
+
+
 def lstm_dir_forward(x, w_ih, w_hh, b):
     B, T, _ = x.shape
     d = w_hh.shape[1]
@@ -48,7 +62,7 @@ def lstm_dir_forward(x, w_ih, w_hh, b):
     gate_rows, c_rows, tc_rows, h_rows = [], [], [], []
     for t in range(T):
         z = zx[:, t] + h_t @ w_hh_t
-        i_t, f_t, g_t, o_t = stand._gate_activations(z, d)
+        i_t, f_t, g_t, o_t = gate_activations(z, d)
         c_t = f_t * c_t + i_t * g_t
         tc_t = np.tanh(c_t)
         h_t = o_t * tc_t
@@ -96,7 +110,8 @@ def lstm_dir_backward(cache: DirCache, dh_out, w_ih, w_hh):
     return dx, dw_ih, dw_hh, db
 
 
-def forward_batch(x, params, config):
+def forward_batch(x, params, config, workspace=None):
+    """``workspace`` is accepted for ``stand.train``'s call and ignored."""
     x = np.asarray(x, dtype=np.float64)
     h = x
     embed_caches = []

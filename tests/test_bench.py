@@ -373,8 +373,14 @@ class TestCli:
         {"metrics": {"mc_draws": 0}},
         {"metrics": {"buffer_max": -1}},
         {"seed": [0]},
+        {"detectors": [{"kind": "knn", "k": 2.5}]},
+        {"detectors": [{"kind": "kmeans", "n_clusters": True}]},
+        {"detectors": [{"kind": "random", "seed": "1"}]},
+        {"detectors": [{"kind": "stand", "input_channels": 3, "window": 16.0}]},
+        {"detectors": ["knn"]},
     ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
-            "negative_buffer", "top_level_key"])
+            "negative_buffer", "top_level_key", "float_int", "bool_int", "string_seed",
+            "stand_float_window", "detector_not_object"])
     def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, edit):
         doc = {**small_config(tmp_path).to_dict(), **edit}
         path = tmp_path / "exp.json"
@@ -399,6 +405,59 @@ class TestCli:
         assert cli.main(evaluate) == 0
         assert cli.main(evaluate + ["--mc-draws", "0"]) == 2
         assert cli.main(evaluate + ["--buffer-max", "-1"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"kind": "knn", "k": 2.5}),
+        json.dumps({"kind": "logreg", "epochs": False}),
+        json.dumps([{"kind": "knn"}]),
+        '{"kind": "knn",',
+    ], ids=["float_int", "bool_int", "json_list", "invalid_json"])
+    def test_exit_code_two_on_malformed_detector_file(self, tmp_path, capsys, text):
+        data_path = tmp_path / "data.csv"
+        write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), data_path)
+        det_path = tmp_path / "det.json"
+        det_path.write_text(text)
+        model_path = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--data", str(data_path), "--threshold", "0.1",
+                         "--detector", str(det_path), "--out", str(model_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
+
+    def test_exit_code_two_on_non_integer_sweep_values(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path).to_dict()))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--kind", "sensitivity",
+                         "--axis", "window", "--values", "16,abc"]) == 2
+        assert "error: --values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench --config", "report --table"])
+    def test_exit_code_two_on_invalid_json(self, tmp_path, capsys, command):
+        path = tmp_path / "doc.json"
+        path.write_text('{"name": ')
+        argv = command.split() + [str(path)]
+        if command.startswith("report"):
+            argv += ["--out", str(tmp_path / "t.md")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("segment", ["abc", "300:100", "0:99999", "-5:", "900:", "1:x"])
+    def test_exit_code_two_on_bad_segment(self, tmp_path, capsys, segment):
+        data_path = tmp_path / "data.csv"
+        write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), data_path)
+        det_path = tmp_path / "det.json"
+        det_path.write_text(json.dumps({"kind": "pca", "rank": 2}))
+        model_path = tmp_path / "m.ckpt"
+        assert cli.main(["train", "--data", str(data_path), "--threshold", "0.1",
+                         "--detector", str(det_path), "--out", str(model_path)]) == 0
+        scores_path = tmp_path / "scores.csv"
+        write_scores_csv(scores_path, make_rng(0).uniform(size=900))
+        capsys.readouterr()
+        assert cli.main(["score", "--model", str(model_path), "--data", str(data_path),
+                         "--out", str(tmp_path / "s.csv"), f"--segment={segment}"]) == 2
+        assert not (tmp_path / "s.csv").exists()
+        assert cli.main(["evaluate", "--scores", str(scores_path), "--data", str(data_path),
+                         "--out", str(tmp_path / "r.json"), f"--segment={segment}"]) == 2
+        assert capsys.readouterr().err.count("error: --segment") == 2
 
     def test_exit_code_two_on_non_finite_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

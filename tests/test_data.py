@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,49 @@ class TestCsv:
         p.write_text("a,label\n1,0\n2,2\n")
         with pytest.raises(IngestError, match="label"):
             data.load_csv(p)
+
+    # each text either takes the bulk parse or falls back to the row-by-row reader
+    @pytest.mark.parametrize("text", [
+        "a,b,label\r\n0.1,-2.5e-3,1\r\n1e300,5e-324,0\r\n",
+        "a,b,label\n 1.5 ,\t2,-0\n3,4, 1 \n",
+        "a,label,b\n0.30000000000000004,1.0,7\n2.2250738585072014e-308,0,-0.0",
+        '"a","b"\n"1.25",2\n3,"4"\n',
+        "a,b\n1_000,2\n3,4\n",
+        "a\n1\n2\n",
+    ])
+    def test_bytes_equal_row_by_row_reader(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        rows = list(csv.reader(io.StringIO(text)))
+        header = [h.strip() for h in rows[0]]
+        cells = np.array([[float(c) for c in row] for row in rows[1:]])
+        ds = data.load_csv(p)
+        if "label" in header:
+            j = header.index("label")
+            assert ds.labels.tobytes() == cells[:, j].astype(np.int64).tobytes()
+            cells = np.delete(cells, j, axis=1)
+        assert ds.values.tobytes() == cells.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("a,b\n", "no data rows"),
+        ("a,b\n1,2\n3\n", "row 3: expected 2 cells, got 1"),
+        ("a,b\n1,2\n\n3,4\n", "row 3: expected 2 cells, got 0"),
+        ("a,b\n1,2,\n", "row 2: expected 2 cells, got 3"),
+        ("a,b\n1,2\n3,oops\n", "row 3, column 'b': non-numeric cell 'oops'"),
+        ('a,b\n1,"x"\n', "row 2, column 'b': non-numeric cell 'x'"),
+        ("a,b\r\n1,2\r\n-inf,4\r\n", "row 3, column 'a': non-finite cell -inf"),
+        ("a,b\n1,1e999\n", "row 2, column 'b': non-finite cell inf"),
+        ("a,label\n1,0\n2, 2 \n", "row 3, column 'label': label must be 0 or 1, got '2'"),
+        ("a,label\n1,0.5\n", "row 2, column 'label': label must be 0 or 1, got '0.5'"),
+        ("label\n1\n", "no value columns besides 'label'"),
+    ])
+    def test_ingest_error_messages_pinned(self, tmp_path, text, message):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(IngestError) as err:
+            data.load_csv(p)
+        assert str(err.value) == f"{p}: {message}"
 
 
 def oracle_prefix_split(labels, threshold):

@@ -1,6 +1,8 @@
 """The fused recurrence, trace-free inference and vectorized reassembly
 against the per-direction and window-by-window references in lstm_oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,38 @@ class TestTrainingPassBitwise:
             assert fused.params[key].tobytes() == ref.params[key].tobytes()
 
 
+class TestReusedWorkspace:
+    @pytest.mark.parametrize("name", ["full", "two_layers"])
+    def test_gradients_equal_freshly_allocated_buffers(self, name):
+        cfg = acceptance_size_config(**CONFIGS[name])
+        params = stand.init_params(cfg)
+        workspace = stand._Workspace()
+        # a short first batch grows the buffers, a short later one reuses a prefix
+        for B, seed in ((37, 0), (128, 1), (128, 2), (5, 3), (128, 4)):
+            x, y = batch(cfg, B=B, seed=seed)
+            logits, trace = stand.forward_batch(x, params, cfg, workspace=workspace)
+            grads = stand.backward(trace, y, params, cfg)
+            ref_logits, ref_trace = stand.forward_batch(x, params, cfg)
+            ref_grads = stand.backward(ref_trace, y, params, cfg)
+            assert logits.tobytes() == ref_logits.tobytes()
+            for key in params:
+                assert grads[key].tobytes() == ref_grads[key].tobytes(), (B, key)
+
+    def test_training_with_short_last_batch_equals_oracle(self, monkeypatch):
+        cfg = acceptance_size_config(epochs=2, batch_size=128)
+        spec = data.SyntheticSpec(T=940, C=8, seed=5, anomalies=(
+            {"kind": "spike", "start": 300, "duration": 40, "magnitude": 6.0},))
+        ws = data.make_windows(data.generate_synthetic(spec), cfg.window, 3)
+        assert len(ws) % cfg.batch_size not in (0, 1)
+        fused = stand.train(ws, cfg)
+        monkeypatch.setattr(stand, "forward_batch", oracle.forward_batch)
+        monkeypatch.setattr(stand, "backward", oracle.backward)
+        ref = stand.train(ws, cfg)
+        assert fused.loss_history == ref.loss_history
+        for key in ref.params:
+            assert fused.params[key].tobytes() == ref.params[key].tobytes()
+
+
 class TestInferAgainstWindowedOracle:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     # T - W = 272: strides 1 and W/2 tile it exactly, 7 leaves a tail window
@@ -90,6 +124,30 @@ class TestInferAgainstWindowedOracle:
             stand.infer(np.zeros((100, 8)), params, cfg, stride=cfg.window + 1)
         with pytest.raises(stand.ConfigError):
             stand.infer(np.zeros((10, 8)), params, cfg)
+
+    def test_memory_bounded_by_batch_not_series(self, monkeypatch):
+        # without the embedding, a whole-series input projection (4*D*T*d
+        # floats) would outweigh everything else infer keeps per timestep
+        cfg = acceptance_size_config(use_embedding=False)
+        params = stand.init_params(cfg)
+        T = 6000
+        workspace_bytes = {}
+        array = stand._Workspace.array
+
+        def recording(ws, name, shape):
+            workspace_bytes[name] = max(workspace_bytes.get(name, 0), 8 * int(np.prod(shape)))
+            return array(ws, name, shape)
+
+        monkeypatch.setattr(stand._Workspace, "array", recording)
+        x = make_rng(8).standard_normal((T, cfg.input_channels))
+        tracemalloc.start()
+        try:
+            stand.infer(x, params, cfg, batch_size=16)
+            traced_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole_series_projection = 8 * 4 * 2 * T * cfg.d_model
+        assert traced_peak + sum(workspace_bytes.values()) < whole_series_projection / 4
 
 
 class TestReassembleOracle:

@@ -327,6 +327,22 @@ class TestCce:
         value = metrics.cce(np.full(4, 3.3), y)
         assert value == pytest.approx(0.0)  # AUC 50 -> agreement 0
 
+    def test_evaluate_goes_through_cce_with_its_auc(self, monkeypatch):
+        rng = make_rng(13)
+        y = (rng.uniform(size=400) < 0.2).astype(int)
+        s = rng.standard_normal(400)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return cce(*args)
+
+        cce = metrics.cce
+        monkeypatch.setattr(metrics, "cce", spy)
+        report = metrics.evaluate(s, y)
+        assert len(calls) == 1 and calls[0][2] == report.auc_roc
+        assert report.cce == cce(s, y) == cce(s, y, metrics.auc_roc(s, y))
+
 
 class TestEvaluate:
     def test_config_rejects_settings_that_average_nothing(self):

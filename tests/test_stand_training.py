@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from instruments import calibrate_gd_learning_rate, timing_probe
 from standbench import data, stand
 from standbench.exceptions import ConfigError, ContractError
 from standbench.ndcore import make_rng, sigmoid
@@ -198,7 +199,7 @@ class TestTrain:
     def test_calibrated_gd_descent_is_monotone(self):
         ws = labeled_windows(T=48, stride=6)
         cfg = tiny_config(optimizer="gd")
-        eta, history = stand.calibrate_gd_learning_rate(ws, cfg, steps=100)
+        eta, history = calibrate_gd_learning_rate(ws, cfg, steps=100)
         assert len(history) == 101
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert eta > 0
@@ -277,4 +278,5 @@ class TestComplexityProbes:
 
     def test_timing_probe_returns_positive_median(self):
         cfg = stand.StandConfig(input_channels=4, d_model=8, window=16)
-        assert stand.timing_probe(cfg, T=64, repeats=3) > 0
+        times = timing_probe(cfg, (64, 32), repeats=3)
+        assert times.shape == (3, 2) and np.all(times > 0)
