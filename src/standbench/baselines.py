@@ -311,6 +311,7 @@ class StandDetector:
     @classmethod
     def from_state(cls, config, tensors):
         det = cls(**config)
+        stand_mod.check_params(tensors, det.config)
         det.params_ = tensors
         return det
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -51,27 +51,32 @@ class ExperimentConfig:
     seeds: tuple
     output_dir: str
     metrics: MetricsConfig = field(default_factory=MetricsConfig)
-    fair_eval: bool = True  # False evaluates every detector over the full series span
 
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "split_thresholds", tuple(float(t) for t in self.split_thresholds))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(config_int("seeds", s) for s in self.seeds))
         if not (self.datasets and self.detectors and self.seeds):
             raise ConfigError("config needs at least one dataset, detector and seed")
+        if not (isinstance(self.name, str) and isinstance(self.output_dir, str)):
+            raise ConfigError("name and output_dir must be strings")
         th = self.split_thresholds
         if not th or any(not 0.0 < t < 1.0 for t in th) or list(th) != sorted(set(th)):
             raise ConfigError("split_thresholds must be strictly increasing values in (0, 1)")
-        for entry in self.detectors:  # a bad entry fails here, before any cell runs
+        for entry in self.datasets:  # a bad entry fails here, before any cell runs
+            dataset_source(entry)
+        for entry in self.detectors:
             _build_seeded_detector(entry, 0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"an experiment config must be a JSON object, got {doc!r}")
         doc = dict(doc)
         try:
             return cls(metrics=MetricsConfig(**doc.pop("metrics", {})), **doc)
-        except TypeError as exc:  # an unknown or missing key
+        except (TypeError, ValueError) as exc:  # an unknown or missing key, a non-number
             raise ConfigError(f"invalid experiment config: {exc}") from None
 
     @classmethod
@@ -80,26 +85,28 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "datasets": list(self.datasets),
-            "detectors": list(self.detectors),
-            "split_thresholds": list(self.split_thresholds),
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "metrics": self.metrics.to_dict(),
-            "fair_eval": self.fair_eval,
-        }
+        return asdict(self)
 
 
-def _digest(payload: dict) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:20]
+def dataset_source(entry) -> SyntheticSpec | tuple[str, str]:
+    """A dataset entry parsed without materializing it: the SyntheticSpec of
+    ``{"synthetic": {...}}`` (seed 0 when omitted), or the (path, label column)
+    of ``{"path": ..., ["label_column": ...]}``."""
+    keys = set(entry) if isinstance(entry, dict) else None
+    if keys == {"synthetic"} and isinstance(entry["synthetic"], dict):
+        return SyntheticSpec.from_dict({"seed": 0, **entry["synthetic"]})
+    if keys in ({"path"}, {"path", "label_column"}) and all(
+            isinstance(v, str) for v in entry.values()):
+        return entry["path"], entry.get("label_column", "label")
+    raise ConfigError("a dataset entry must be {\"synthetic\": {...}} or "
+                      f"{{\"path\": str, [\"label_column\": str]}}, got {entry!r}")
 
 
 def dataset_label(entry: dict) -> str:
-    if "synthetic" in entry:
-        return entry["synthetic"].get("name", "synthetic")
-    return os.path.splitext(os.path.basename(entry["path"]))[0]
+    source = dataset_source(entry)
+    if isinstance(source, SyntheticSpec):
+        return source.name
+    return os.path.splitext(os.path.basename(source[0]))[0]
 
 
 def detector_label(entry: dict) -> str:
@@ -108,16 +115,16 @@ def detector_label(entry: dict) -> str:
 
 def materialize_dataset(entry: dict, seed: int) -> TimeSeriesDataset:
     """Synthetic entries fold the run seed into the spec seed; CSVs are fixed."""
-    if "synthetic" in entry:
-        doc = dict(entry["synthetic"])
-        doc["seed"] = int(doc.get("seed", 0)) + seed
-        return generate_synthetic(SyntheticSpec.from_dict(doc))
-    return load_csv(entry["path"], entry.get("label_column", "label"))
+    source = dataset_source(entry)
+    if isinstance(source, SyntheticSpec):
+        return generate_synthetic(replace(source, seed=source.seed + seed))
+    return load_csv(*source)
 
 
 def _build_seeded_detector(entry: dict, seed: int):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"a detector entry must be a JSON object, got {entry!r}")
+    if not (isinstance(entry, dict) and all(isinstance(entry.get(k, ""), str)
+                                            for k in ("kind", "label"))):
+        raise ConfigError(f"a detector entry must be a JSON object with a string kind, got {entry!r}")
     cfg = {k: v for k, v in entry.items() if k not in ("kind", "label")}
     kind = entry.get("kind")
     if kind in DETECTOR_KINDS and DETECTOR_KINDS[kind].seeded:
@@ -147,11 +154,10 @@ def run_cell(
     detector_entry: dict,
     seed: int,
     metrics_cfg: MetricsConfig,
-    fair_eval: bool = True,
 ) -> MetricReport:
     """One benchmark cell: split, normalize on the train prefix, fit, score, evaluate."""
     detector, split, _, norm = fit_on_prefix(ds, threshold, detector_entry, seed)
-    lo = split.train_end if fair_eval else 0
+    lo = split.train_end
     return evaluate(
         detector.score(norm.values[lo:]),
         norm.labels[lo:],
@@ -175,29 +181,17 @@ class CellRecord:
     report: MetricReport | None = None
     error: str | None = None
 
-    @property
-    def key(self) -> tuple:
-        return (self.detector, self.dataset, self.seed)
-
     def to_dict(self) -> dict:
-        return {
-            "detector": self.detector,
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "report": self.report.to_dict() if self.report else None,
-            "error": self.error,
-        }
+        return asdict(self)  # the report as MetricReport.to_dict gives it
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CellRecord":
         report = MetricReport.from_dict(doc["report"]) if doc.get("report") else None
-        return cls(
-            detector=doc["detector"],
-            dataset=doc["dataset"],
-            seed=doc["seed"],
-            report=report,
-            error=doc.get("error"),
-        )
+        record = cls(detector=doc["detector"], dataset=doc["dataset"],
+                     seed=config_int("seed", doc["seed"]), report=report, error=doc.get("error"))
+        if not all(isinstance(v, str) for v in (record.detector, record.dataset, record.error or "")):
+            raise IngestError(f"a cell's detector, dataset and error must be strings: {doc!r}")
+        return record
 
 
 @dataclass
@@ -214,24 +208,14 @@ class ResultsTable:
     def aggregate(self) -> list[dict]:
         """Per (detector, dataset): mean and 95% CI of each metric over seeds."""
         groups: dict[tuple, list[MetricReport]] = {}
-        order: list[tuple] = []
         for row in self.ok_rows():
-            key = (row.detector, row.dataset)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row.report)
+            groups.setdefault((row.detector, row.dataset), []).append(row.report)
         out = []
-        for key in order:
-            reports = groups[key]
-            entry = {"detector": key[0], "dataset": key[1], "n": len(reports)}
+        for (detector, dataset), reports in groups.items():
+            entry = {"detector": detector, "dataset": dataset, "n": len(reports)}
             for metric in METRIC_COLUMNS:
-                vals = np.array([getattr(r, metric) for r in reports])
-                mean = float(vals.mean())
-                sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
-                half = float(CI_Z * sd / np.sqrt(len(vals)))
-                entry[metric] = {"mean": mean, "ci_low": mean - half, "ci_high": mean + half}
-            entry["mean_score"] = float(np.mean([r.mean_score() for r in reports]))
+                entry[metric] = _mean_ci([getattr(r, metric) for r in reports])
+            entry["mean_score"] = _mean_ci([r.mean_score() for r in reports])
             out.append(entry)
         return out
 
@@ -240,10 +224,22 @@ class ResultsTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultsTable":
-        return cls(name=doc["name"], rows=[CellRecord.from_dict(r) for r in doc["rows"]])
+        try:
+            return cls(name=doc["name"], rows=[CellRecord.from_dict(r) for r in doc["rows"]])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"not a results table: {exc!r}") from None
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _mean_ci(values) -> dict:
+    """Mean and normal-approximation 95% interval of per-seed values."""
+    vals = np.array(values)
+    mean = float(vals.mean())
+    sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+    half = float(CI_Z * sd / np.sqrt(len(vals)))
+    return {"mean": mean, "ci_low": mean - half, "ci_high": mean + half}
+
+
+def atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -251,7 +247,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cell_path(output_dir: str, payload: dict) -> str:
-    return os.path.join(output_dir, "cells", _digest(payload) + ".json")
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:20]
+    return os.path.join(output_dir, "cells", digest + ".json")
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
@@ -272,7 +269,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                         "detector": detector_entry,
                         "seed": seed,
                         "metrics": config.metrics.to_dict(),
-                        "fair_eval": config.fair_eval,
                     }
                     path = _cell_path(config.output_dir, cell_key)
                     if os.path.exists(path):
@@ -282,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                         record = _compute_cell(
                             series, subset, threshold, detector_entry, seed, config
                         )
-                        _atomic_write(
+                        atomic_write(
                             path, json.dumps(record.to_dict(), sort_keys=True, indent=1)
                         )
                     had_failures = had_failures or record.error is not None
@@ -323,7 +319,7 @@ def _compute_cell(series: _SeriesCache, subset, threshold, detector_entry, seed,
     label = detector_label(detector_entry)
     try:
         ds = series.get(seed)
-        report = run_cell(ds, threshold, detector_entry, seed, config.metrics, config.fair_eval)
+        report = run_cell(ds, threshold, detector_entry, seed, config.metrics)
         report.metadata["dataset"] = subset
         return CellRecord(detector=label, dataset=subset, seed=seed, report=report)
     except StandbenchError as exc:
@@ -333,14 +329,10 @@ def _compute_cell(series: _SeriesCache, subset, threshold, detector_entry, seed,
                           error=f"{type(exc).__name__}: {exc}")
 
 
-def write_table(table: ResultsTable, output_dir: str) -> dict[str, str]:
-    paths = {}
-    for fmt in ("json", "csv", "markdown"):
-        ext = {"json": "json", "csv": "csv", "markdown": "md"}[fmt]
-        path = os.path.join(output_dir, f"{table.name}_results.{ext}")
-        _atomic_write(path, render_table(table, fmt))
-        paths[fmt] = path
-    return paths
+def write_table(table: ResultsTable, output_dir: str) -> None:
+    for fmt, ext in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
+        atomic_write(os.path.join(output_dir, f"{table.name}_results.{ext}"),
+                     render_table(table, fmt))
 
 
 def render_table(table: ResultsTable, fmt: str) -> str:
@@ -388,7 +380,7 @@ def _render_markdown(table: ResultsTable) -> str:
         lines.append(
             f"| {entry['detector']} | {entry['dataset']} | {entry['n']} | "
             + " | ".join(cells)
-            + f" | {entry['mean_score']:.2f} |"
+            + f" | {entry['mean_score']['mean']:.2f} |"
         )
     failed = [r for r in table.rows if r.error is not None]
     for row in failed:
@@ -399,10 +391,6 @@ def _render_markdown(table: ResultsTable) -> str:
             + " | - |"
         )
     return "\n".join(lines) + "\n"
-
-
-def emit_report(table: ResultsTable, fmt: str, path: str) -> None:
-    _atomic_write(path, render_table(table, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +414,11 @@ def gain_sweep(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     lines.append("detector,dataset,threshold,mean,ci_low,ci_high")
     for entry in table.aggregate():
         base, threshold = entry["dataset"].rsplit("@", 1)
-        vals = [
-            r.report.mean_score()
-            for r in table.ok_rows()
-            if r.detector == entry["detector"] and r.dataset == entry["dataset"]
-        ]
-        arr = np.array(vals)
-        sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-        half = float(CI_Z * sd / np.sqrt(len(arr)))
-        mean = float(arr.mean())
+        m = entry["mean_score"]
         lines.append(
-            f"{entry['detector']},{base},{threshold},{mean!r},{mean - half!r},{mean + half!r}"
+            f"{entry['detector']},{base},{threshold},{m['mean']!r},{m['ci_low']!r},{m['ci_high']!r}"
         )
-    _atomic_write(os.path.join(config.output_dir, f"{config.name}_gain.csv"), "\n".join(lines) + "\n")
+    atomic_write(os.path.join(config.output_dir, f"{config.name}_gain.csv"), "\n".join(lines) + "\n")
     return table, had_failures
 
 
@@ -451,24 +431,21 @@ ABLATION_VARIANTS = {
 }
 
 
-def ablation_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Expand the single configured stand detector into the three ablation variants."""
+def _stand_variants(config: ExperimentConfig, suffix: str, variants) -> ExperimentConfig:
+    """The config named ``<name>_<suffix>``, its one stand detector replaced by
+    one copy per (label, overrides) pair of ``variants``."""
     stands = [d for d in config.detectors if d["kind"] == "stand"]
     if len(stands) != 1:
-        raise ConfigError("ablation needs exactly one 'stand' detector in the config")
-    base = stands[0]
-    variants = tuple(
-        {**base, **flags, "label": label} for label, flags in ABLATION_VARIANTS.items()
-    )
+        raise ConfigError(f"the {suffix} sweep needs exactly one 'stand' detector in the config")
     doc = config.to_dict()
-    doc["detectors"] = variants
-    doc["name"] = config.name + "_ablation"
+    doc["detectors"] = [{**stands[0], **flags, "label": label} for label, flags in variants]
+    doc["name"] = f"{config.name}_{suffix}"
     return ExperimentConfig.from_dict(doc)
 
 
-def ablation_matrix(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
-    """Train/evaluate the full, no-Bidir and no-TEM variants on shared splits and seeds."""
-    return run_experiment(ablation_config(config))
+def ablation_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The full, no-Bidir and no-TEM variants on shared splits and seeds."""
+    return _stand_variants(config, "ablation", ABLATION_VARIANTS.items())
 
 
 SENSITIVITY_AXES = {"d_model", "tem_layers", "window"}
@@ -477,17 +454,8 @@ SENSITIVITY_AXES = {"d_model", "tem_layers", "window"}
 def sensitivity_config(config: ExperimentConfig, axis: str, values) -> ExperimentConfig:
     if axis not in SENSITIVITY_AXES:
         raise ConfigError(f"unknown sensitivity axis '{axis}'")
-    stands = [d for d in config.detectors if d["kind"] == "stand"]
-    if len(stands) != 1:
-        raise ConfigError("sensitivity sweep needs exactly one 'stand' detector")
-    base = stands[0]
-    variants = tuple(
-        {**base, axis: value, "label": f"stand[{axis}={value:g}]"} for value in values
-    )
-    doc = config.to_dict()
-    doc["detectors"] = variants
-    doc["name"] = f"{config.name}_sens_{axis}"
-    return ExperimentConfig.from_dict(doc)
+    return _stand_variants(config, f"sens_{axis}",
+                           ((f"stand[{axis}={v:g}]", {axis: v}) for v in values))
 
 
 def sensitivity_sweep(
@@ -506,7 +474,7 @@ def sensitivity_sweep(
                 f"{axis},{value},{entry['dataset']},{metric},"
                 f"{m['mean']!r},{m['ci_low']!r},{m['ci_high']!r}"
             )
-    _atomic_write(
+    atomic_write(
         os.path.join(config.output_dir, f"{sub.name}_plotdata.csv"), "\n".join(lines) + "\n"
     )
     return table, had_failures
@@ -537,5 +505,5 @@ def load_fitted(path):
     det_tensors = {k[len("det."):]: v for k, v in tensors.items()}
     try:
         return DETECTOR_KINDS[kind].from_state(det_config, det_tensors), stats
-    except (KeyError, TypeError) as exc:  # an unknown kind, a missing tensor or config key
+    except (LookupError, TypeError, ValueError, ConfigError) as exc:  # a bad kind, tensor or key
         raise IngestError(f"{path}: not a valid '{kind}' detector state ({exc!r})") from exc

@@ -49,6 +49,9 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             header = json.loads(blob.decode("utf-8"))
             version, kind, config = header["version"], header["kind"], header["config"]
             entries = [(entry["name"], tuple(entry["shape"])) for entry in header["tensors"]]
+            if not all(isinstance(n, str) and all(type(d) is int and d >= 0 for d in shape)
+                       for n, shape in entries):
+                raise TypeError("tensor names must be strings, shapes non-negative integers")
         except (struct.error, UnicodeDecodeError, json.JSONDecodeError, KeyError,
                 TypeError) as exc:
             raise IngestError(f"{path}: corrupt checkpoint header ({exc!r})") from exc

@@ -22,7 +22,7 @@ from .data import (
     write_csv,
     zscore_apply,
 )
-from .exceptions import ConfigError, StandbenchError
+from .exceptions import ConfigError, IngestError, StandbenchError
 from .metrics import MetricsConfig, evaluate, read_scores_csv, write_report, write_scores_csv
 
 
@@ -72,9 +72,11 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     detector, stats = load_fitted(args.model)
     ds = load_csv(args.data, args.label_column)
-    norm = zscore_apply(ds, stats)
     lo, hi = _parse_segment(args.segment, ds.length)
-    scores = detector.score(norm.values[lo:hi])
+    try:
+        scores = detector.score(zscore_apply(ds, stats).values[lo:hi])
+    except ValueError as exc:  # checkpoint tensors that fit neither each other nor the data
+        raise IngestError(f"{args.model} cannot score {args.data}: {exc}") from None
     write_scores_csv(args.out, scores)
     print(f"wrote {len(scores)} scores for [{lo}, {hi}) to {args.out}")
     return 0
@@ -105,7 +107,7 @@ def cmd_sweep(args) -> int:
     if args.kind == "gain":
         _, had_failures = bench_mod.gain_sweep(config)
     elif args.kind == "ablation":
-        _, had_failures = bench_mod.ablation_matrix(config)
+        _, had_failures = bench_mod.run_experiment(bench_mod.ablation_config(config))
     else:
         if not args.axis or not args.values:
             raise StandbenchError("sensitivity sweep needs --axis and --values")
@@ -121,7 +123,7 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     with open(args.table, encoding="utf-8") as fh:
         table = ResultsTable.from_dict(json.load(fh))
-    bench_mod.emit_report(table, args.format, args.out)
+    bench_mod.atomic_write(args.out, bench_mod.render_table(table, args.format))
     print(f"wrote {args.format} report to {args.out}")
     return 0
 
@@ -195,7 +197,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StandbenchError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (StandbenchError, FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,12 +7,13 @@ instance, so concurrent readers never need locks.
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, IngestError, SplitError
+from .exceptions import ConfigError, IngestError, SplitError, config_int
 from .ndcore import make_rng
 
 STD_FLOOR = 1e-8  # degenerate channels are clamped to this std
@@ -98,6 +99,11 @@ class AnomalyEvent:
     duration: int
     magnitude: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "start", config_int("start", self.start))
+        object.__setattr__(self, "duration", config_int("duration", self.duration))
+        object.__setattr__(self, "magnitude", _spec_float("magnitude", self.magnitude))
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -108,6 +114,13 @@ class AnomalyEvent:
 
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst")
+
+
+def _spec_float(name: str, value) -> float:
+    """A real-valued spec field: an int or float, but no bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,12 @@ class SyntheticSpec:
             ev if isinstance(ev, AnomalyEvent) else AnomalyEvent(**ev) for ev in self.anomalies
         )
         object.__setattr__(self, "anomalies", events)
-        object.__setattr__(self, "sine_periods", tuple(float(p) for p in self.sine_periods))
+        for name in ("T", "C", "seed"):
+            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+        for name in ("ar_coeff", "noise_scale"):
+            object.__setattr__(self, name, _spec_float(name, getattr(self, name)))
+        periods = tuple(_spec_float("sine_periods", p) for p in self.sine_periods)
+        object.__setattr__(self, "sine_periods", periods)
         if self.T < 1 or self.C < 1:
             raise ConfigError("synthetic spec needs T >= 1 and C >= 1")
         spans = []
@@ -176,11 +194,15 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a synthetic spec must be a JSON object, got {doc!r}")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
-            raise IngestError(f"unknown synthetic spec fields: {sorted(extra)}")
-        return cls(**doc)
+            raise ConfigError(f"unknown synthetic spec fields: {sorted(extra)}")
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # a missing field, a list field or an event that is not one
+            raise ConfigError(f"invalid synthetic spec: {exc}") from None
 
 
 def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .exceptions import ConfigError, MetricError
+from .data import load_csv
+from .exceptions import ConfigError, MetricError, config_int
 from .ndcore import make_rng
 
 DEFAULT_BUFFER_MAX = 8  # default window 32 / 4
@@ -413,10 +414,11 @@ class MetricsConfig:
 
     def __post_init__(self):
         # zero draws or a negative buffer would average an empty list into NaN
-        if self.mc_draws < 1:
+        if config_int("mc_draws", self.mc_draws) < 1:
             raise ConfigError(f"mc_draws must be >= 1, got {self.mc_draws}")
-        if self.buffer_max < 0:
+        if config_int("buffer_max", self.buffer_max) < 0:
             raise ConfigError(f"buffer_max must be >= 0, got {self.buffer_max}")
+        config_int("seed", self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -501,11 +503,11 @@ def write_scores_csv(path, scores) -> None:
 
 
 def read_scores_csv(path) -> np.ndarray:
+    """Inverse of write_scores_csv; a malformed row raises IngestError naming it."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["t", "score"]:
+        if fh.readline().strip().split(",") != ["t", "score"]:
             raise ConfigError(f"{path}: expected header 't,score'")
-        return np.array([float(line.split(",")[1]) for line in fh if line.strip()])
+    return load_csv(path, label_column=None).values[:, 1].copy()
 
 
 def write_report(path, report: MetricReport) -> None:

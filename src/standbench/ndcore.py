@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .exceptions import ConfigError
+
 # Cubic coefficient of the tanh-form GELU. The tanh approximation is used
 # instead of erf because it is portable and has a closed-form derivative.
 GELU_CUBIC = 0.044715
@@ -70,5 +72,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     the interpreter's global Mersenne Twister which is never used here. Equal
     (seed, stream) pairs produce identical draw sequences everywhere.
     """
+    if seed < 0:
+        raise ConfigError(f"a seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.PCG64(ss))

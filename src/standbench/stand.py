@@ -191,7 +191,6 @@ class ForwardTrace:
     """Everything the backward pass needs: embedding caches batched as
     (B, T, ...), LSTM caches step-major, and the workspace they live in."""
 
-    x: np.ndarray
     embed: list[_EmbedLayerCache]
     h_embed: np.ndarray
     lstm: list[_LstmCache]
@@ -364,7 +363,7 @@ def forward_batch(
                                          keep=True)
     logits = h_enc @ params["head.w"] + params["head.b"][0]
     return logits, ForwardTrace(
-        x=x, embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits,
+        embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits,
         workspace=ws,
     )
 
@@ -653,14 +652,6 @@ def infer(
     ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
                    values=None, labels=None)
     return reassemble(ws, scores)
-
-
-def write_loss_history(path, history) -> None:
-    """CSV export of per-epoch mean training loss."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, loss in enumerate(history, start=1):
-            fh.write(f"{epoch},{loss!r}\n")
 
 
 # ---------------------------------------------------------------------------

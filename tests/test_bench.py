@@ -61,6 +61,18 @@ class TestConfig:
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    def test_dataset_entries_parsed_without_generating(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "generate_synthetic", None)  # any call would raise
+        cfg = small_config(tmp_path)
+        spec = bench.dataset_source(cfg.datasets[0])
+        assert spec == SyntheticSpec.from_dict(small_spec_dict())
+        assert bench.dataset_label(cfg.datasets[0]) == "mini"
+        no_seed = {k: v for k, v in small_spec_dict().items() if k not in ("seed", "name")}
+        assert bench.dataset_source({"synthetic": no_seed}).seed == 0
+        assert bench.dataset_label({"synthetic": no_seed}) == "synthetic"
+        assert bench.dataset_source({"path": "a/b.csv", "label_column": "y"}) == ("a/b.csv", "y")
+        assert bench.dataset_label({"path": "a/b.csv"}) == "b"
+
 
 class TestRunExperiment:
     def test_stand_dominates_random(self, tmp_path):
@@ -252,7 +264,7 @@ class TestReportRendering:
     def test_csv_json_round_trip_lossless(self, tmp_path):
         table = self.subject_table()
         path = tmp_path / "t.json"
-        bench.emit_report(table, "json", str(path))
+        bench.atomic_write(str(path), bench.render_table(table, "json"))
         again = ResultsTable.from_dict(json.load(open(path)))
         assert bench.render_table(again, "csv") == bench.render_table(table, "csv")
 
@@ -280,7 +292,7 @@ class TestSweeps:
 
     def test_ablation_matrix_variants_and_structure(self, tmp_path):
         cfg = small_config(tmp_path)
-        table, failures = bench.ablation_matrix(cfg)
+        table, failures = bench.run_experiment(bench.ablation_config(cfg))
         assert not failures
         detectors = {row.detector for row in table.rows}
         assert detectors == {"stand_full", "stand_no_bidir", "stand_no_tem"}
@@ -378,18 +390,38 @@ class TestCli:
         {"detectors": [{"kind": "random", "seed": "1"}]},
         {"detectors": [{"kind": "stand", "input_channels": 3, "window": 16.0}]},
         {"detectors": ["knn"]},
+        [{"name": "x"}],
+        {"seeds": ["a"]},
+        {"seeds": [0.5]},
+        {"split_thresholds": ["abc"]},
+        {"datasets": [{"label_column": "label"}]},
+        {"datasets": ["series.csv"]},
+        {"datasets": [{"path": "a.csv", "synthetic": small_spec_dict()}]},
+        {"datasets": [{"path": 5}]},
+        {"datasets": [{"synthetic": {**small_spec_dict(), "bogus": 1}}]},
+        {"datasets": [{"synthetic": {**small_spec_dict(), "anomalies": ["spike"]}}]},
+        {"datasets": [{"synthetic": {**small_spec_dict(), "T": "900"}}]},
+        {"output_dir": None},
+        {"detectors": [{"kind": "random", "label": 7}]},
+        {"metrics": {"mc_draws": 2.5}},
     ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
             "negative_buffer", "top_level_key", "float_int", "bool_int", "string_seed",
-            "stand_float_window", "detector_not_object"])
-    def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, edit):
-        doc = {**small_config(tmp_path).to_dict(), **edit}
+            "stand_float_window", "detector_not_object", "config_not_object",
+            "string_seeds", "float_seeds", "string_threshold", "dataset_without_source",
+            "dataset_not_object", "dataset_two_sources", "path_not_string",
+            "synthetic_unknown_field", "synthetic_event_not_object", "synthetic_string_T",
+            "output_dir_not_string", "label_not_string", "float_draws"])
+    def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, monkeypatch, edit):
+        cfg = small_config(tmp_path)
+        doc = {**cfg.to_dict(), **edit} if isinstance(edit, dict) else edit
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(doc)
+        monkeypatch.setattr(bench, "generate_synthetic", None)  # no series is made at load
         assert cli.main(["bench", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not os.path.exists(doc["output_dir"])  # rejected before any cell ran
+        assert not os.path.exists(cfg.output_dir)  # rejected before any cell ran
 
     def test_exit_code_two_on_malformed_train_and_evaluate(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -430,10 +462,19 @@ class TestCli:
                          "--axis", "window", "--values", "16,abc"]) == 2
         assert "error: --values" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["bench --config", "report --table"])
-    def test_exit_code_two_on_invalid_json(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, text", [
+        ("bench --config", '{"name": '),
+        ("report --table", '{"name": '),
+        # valid JSON, but not a results table
+        ("report --table", '{"rows": []}'),
+        ("report --table", '{"name": "t", "rows": [{"detector": "a", "seed": 0}]}'),
+        ("report --table", '{"name": "t", "rows": [{"detector": 1, "dataset": "x", "seed": 0}]}'),
+        ("report --table", '[1, 2]'),
+    ], ids=["bench --config", "report --table", "table_without_name", "row_without_dataset",
+            "row_detector_not_string", "table_not_object"])
+    def test_exit_code_two_on_invalid_json(self, tmp_path, capsys, command, text):
         path = tmp_path / "doc.json"
-        path.write_text('{"name": ')
+        path.write_text(text)
         argv = command.split() + [str(path)]
         if command.startswith("report"):
             argv += ["--out", str(tmp_path / "t.md")]
@@ -458,6 +499,19 @@ class TestCli:
         assert cli.main(["evaluate", "--scores", str(scores_path), "--data", str(data_path),
                          "--out", str(tmp_path / "r.json"), f"--segment={segment}"]) == 2
         assert capsys.readouterr().err.count("error: --segment") == 2
+
+    @pytest.mark.parametrize("row, where", [("1,abc", "row 3, column 'score'"),
+                                            ("1", "row 3: expected 2 cells, got 1")],
+                             ids=["non_numeric_score", "missing_score"])
+    def test_exit_code_two_on_malformed_scores_file(self, tmp_path, capsys, row, where):
+        data_path = tmp_path / "data.csv"
+        write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), data_path)
+        scores_path = tmp_path / "scores.csv"
+        scores_path.write_text("t,score\n0,0.5\n" + row + "\n")
+        assert cli.main(["evaluate", "--scores", str(scores_path), "--data", str(data_path),
+                         "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
 
     def test_exit_code_two_on_non_finite_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -568,6 +622,28 @@ class TestFittedCheckpoint:
         checkpoint.save_checkpoint(path, kind, {"detector": config}, norm)
         with pytest.raises(IngestError):
             bench.load_fitted(path)
+
+    @pytest.mark.parametrize("edit", ["drop", "resize"])
+    def test_stand_checkpoint_with_bad_tensor_is_ingest_error(self, tmp_path, capsys, edit):
+        ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        data_path = tmp_path / "data.csv"
+        write_csv(ds, data_path)
+        det = baselines.build_detector("stand", input_channels=3, d_model=4, window=8,
+                                       epochs=1, batch_size=32)
+        det.fit(ds.values[:300], ds.labels[:300])
+        model = tmp_path / "model.ckpt"
+        bench.save_fitted(model, det, zscore_fit(ds, (0, 300)))
+        kind, config, tensors = checkpoint.load_checkpoint(model)
+        if edit == "drop":
+            del tensors["det.head.w"]
+        else:
+            tensors["det.head.w"] = np.zeros(5)
+        checkpoint.save_checkpoint(model, kind, config, tensors)
+        with pytest.raises(IngestError, match="head.w"):
+            bench.load_fitted(model)
+        assert cli.main(["score", "--model", str(model), "--data", str(data_path),
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_checkpoint_without_normalization_is_ingest_error(self, tmp_path):
         path = tmp_path / "plain.ckpt"

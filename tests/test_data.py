@@ -1,9 +1,12 @@
 import csv
 import io
+import json
+import os
 
 import numpy as np
 import pytest
 
+from family import acceptance_spec, acceptance_spec_dict
 from standbench import data
 from standbench.exceptions import ConfigError, IngestError, SplitError
 from standbench.ndcore import make_rng
@@ -345,6 +348,42 @@ class TestSynthetic:
         assert np.array_equal(
             data.generate_synthetic(again).values, data.generate_synthetic(spec).values
         )
+
+    @pytest.mark.parametrize("edit", [
+        {"anomalies": ["spike"]},
+        {"anomalies": [{"kind": "spike", "start": 10, "duration": 5}]},
+        {"anomalies": [{"kind": "spike", "start": 10, "duration": 5, "magnitude": 1.0,
+                        "width": 2}]},
+        {"anomalies": [{"kind": "spike", "start": "10", "duration": 5, "magnitude": 1.0}]},
+        {"anomalies": [{"kind": "spike", "start": 10, "duration": 5.0, "magnitude": 1.0}]},
+        {"T": "400"},
+        {"C": 3.0},
+        {"seed": True},
+        {"noise_scale": "0.3"},
+        {"sine_periods": [97.0, None]},
+        {"bogus": 1},
+    ], ids=["event_not_object", "event_missing_key", "event_unknown_key", "string_start",
+            "float_duration", "string_T", "float_C", "bool_seed", "string_noise_scale",
+            "null_period", "unknown_field"])
+    def test_from_dict_rejects_malformed_spec(self, edit):
+        with pytest.raises(ConfigError):
+            data.SyntheticSpec.from_dict({**self.spec().to_dict(), **edit})
+
+    def test_frozen_specs_parse_and_float_fields_take_integers(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "inputs.json")
+        with open(path, encoding="utf-8") as fh:
+            frozen = json.load(fh)["synthetic"]
+        assert data.SyntheticSpec.from_dict(frozen).to_dict() == frozen
+        assert data.SyntheticSpec.from_dict(acceptance_spec_dict(0)) == acceptance_spec(0)
+        events = [{"kind": "variance_burst", "start": 100, "duration": 50, "magnitude": 5}]
+        ints = data.SyntheticSpec.from_dict({**self.spec().to_dict(), "ar_coeff": 1,
+                                             "noise_scale": 1, "sine_periods": [97],
+                                             "anomalies": events})
+        floats = self.spec(ar_coeff=1.0, noise_scale=1.0, sine_periods=(97.0,),
+                           anomalies=[{**events[0], "magnitude": 5.0}])
+        assert ints == floats
+        assert (data.generate_synthetic(ints).values.tobytes()
+                == data.generate_synthetic(floats).values.tobytes())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):

@@ -204,11 +204,6 @@ class TestTrain:
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert eta > 0
 
-    def test_loss_history_export(self, tmp_path):
-        path = tmp_path / "loss.csv"
-        stand.write_loss_history(path, [0.5, 0.25])
-        assert path.read_text().splitlines() == ["epoch,mean_loss", "1,0.5", "2,0.25"]
-
 
 class TestInfer:
     def test_single_window_no_overlap_matches_forward(self):
