@@ -6,8 +6,9 @@ result files. Per-cell randomness is derived as ``base_seed + run_seed`` for
 the synthetic data spec, the detector, and the metric Monte-Carlo baselines.
 Cells are cached under ``<output_dir>/cells/<digest>.json`` keyed only by the
 cell's own inputs and ``CACHE_VERSION``, so removing a detector from the config
-and rerunning reuses every other cell, a crash between cells loses at most one,
-and cells cached by code that computed them differently are not reused.
+and rerunning reuses every other cell, a crash loses only the cells of the
+(dataset, seed) groups still being computed, and cells cached by code that
+computed them differently are not reused.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .exceptions import ConfigError, IngestError, StandbenchError, config_int
+from .exceptions import ConfigError, IngestError, StandbenchError, config_int, config_seed
 from .metrics import MetricReport, MetricsConfig, evaluate
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
@@ -56,7 +57,7 @@ class ExperimentConfig:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "split_thresholds", tuple(float(t) for t in self.split_thresholds))
-        object.__setattr__(self, "seeds", tuple(config_int("seeds", s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(config_seed("seeds", s) for s in self.seeds))
         if not (self.datasets and self.detectors and self.seeds):
             raise ConfigError("config needs at least one dataset, detector and seed")
         if not (isinstance(self.name, str) and isinstance(self.output_dir, str)):
@@ -128,7 +129,7 @@ def _build_seeded_detector(entry: dict, seed: int):
     cfg = {k: v for k, v in entry.items() if k not in ("kind", "label")}
     kind = entry.get("kind")
     if kind in DETECTOR_KINDS and DETECTOR_KINDS[kind].seeded:
-        cfg["seed"] = config_int("seed", cfg.get("seed", 0)) + seed
+        cfg["seed"] = config_seed("seed", cfg.get("seed", 0)) + seed
     return build_detector(kind, **cfg)
 
 
@@ -199,9 +200,6 @@ class ResultsTable:
     name: str
     rows: list = field(default_factory=list)
 
-    def add(self, record: CellRecord) -> None:
-        self.rows.append(record)
-
     def ok_rows(self):
         return [r for r in self.rows if r.report is not None]
 
@@ -251,13 +249,28 @@ def _cell_path(output_dir: str, payload: dict) -> str:
     return os.path.join(output_dir, "cells", digest + ".json")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
-    """Run every configured cell, reusing cached ones; returns (table, had_failures)."""
+    """Run every configured cell, reusing cached ones; returns (table, had_failures).
+
+    Uncached cells are computed in groups of one (dataset, run seed), so each
+    series is materialized once. Several groups run in forked worker
+    processes, one per usable CPU at most: forked workers inherit this
+    process's modules and numeric setup, so a cell gets the same bits in
+    either place. Only this process writes files: each group's cells as soon
+    as the group finishes, then the tables with their rows in config order.
+    """
     os.makedirs(os.path.join(config.output_dir, "cells"), exist_ok=True)
-    table = ResultsTable(name=config.name)
-    had_failures = False
-    for dataset_entry in config.datasets:
-        series = _SeriesCache(dataset_entry)
+    paths = []  # every cell's file, in config order
+    records = {}  # cell file -> its record, read from the cache or computed
+    groups: dict[tuple, list] = {}  # (dataset index, seed) -> uncached cells
+    for index, dataset_entry in enumerate(config.datasets):
         for threshold in config.split_thresholds:
             subset = f"{dataset_label(dataset_entry)}@{threshold:g}"
             for detector_entry in config.detectors:
@@ -271,20 +284,51 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                         "metrics": config.metrics.to_dict(),
                     }
                     path = _cell_path(config.output_dir, cell_key)
+                    paths.append(path)
+                    if path in records:  # a repeated entry: the same cell again
+                        continue
+                    records[path] = None
                     if os.path.exists(path):
                         with open(path, encoding="utf-8") as fh:
-                            record = CellRecord.from_dict(json.load(fh))
+                            records[path] = CellRecord.from_dict(json.load(fh))
                     else:
-                        record = _compute_cell(
-                            series, subset, threshold, detector_entry, seed, config
-                        )
-                        atomic_write(
-                            path, json.dumps(record.to_dict(), sort_keys=True, indent=1)
-                        )
-                    had_failures = had_failures or record.error is not None
-                    table.add(record)
+                        groups.setdefault((index, seed), []).append(
+                            (path, subset, threshold, detector_entry, seed))
+
+    def keep(cells, computed) -> None:
+        for (path, *_), record in zip(cells, computed):
+            atomic_write(path, json.dumps(record.to_dict(), sort_keys=True, indent=1))
+            records[path] = record
+
+    workers = min(len(groups), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork"):
+        # imported here, so that importing the package does not pay for a pool
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            futures = {pool.submit(_compute_group, config.datasets[index], cells, config): cells
+                       for (index, _), cells in groups.items()}
+            try:
+                for future in as_completed(futures):
+                    keep(futures[future], future.result())
+            finally:  # after an error or an interrupt, start no further group
+                pool.shutdown(cancel_futures=True)
+    else:
+        for (index, _), cells in groups.items():
+            keep(cells, _compute_group(config.datasets[index], cells, config))
+
+    table = ResultsTable(name=config.name, rows=[records[path] for path in paths])
     write_table(table, config.output_dir)
-    return table, had_failures
+    return table, any(record.error is not None for record in table.rows)
+
+
+def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -> list:
+    """The records of one (dataset, seed) group's cells, given as
+    (path, subset, threshold, detector entry, seed), in order."""
+    series = _SeriesCache(dataset_entry)
+    return [_compute_cell(series, subset, threshold, detector_entry, seed, config)
+            for _, subset, threshold, detector_entry, seed in cells]
 
 
 class _SeriesCache:

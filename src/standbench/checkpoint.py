@@ -37,7 +37,8 @@ def save_checkpoint(path, kind: str, config: dict, tensors: dict[str, np.ndarray
 
 
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Inverse of save_checkpoint; a truncated or corrupt file raises IngestError."""
+    """Inverse of save_checkpoint; a truncated or corrupt file, or a tensor
+    holding inf or nan, raises IngestError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise IngestError(f"{path}: not a checkpoint file (bad magic)")
@@ -63,5 +64,8 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
                 raise IngestError(f"{path}: truncated payload for tensor '{name}'")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            tensor = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(tensor).all():  # it would score as inf or nan
+                raise IngestError(f"{path}: non-finite values in tensor '{name}'")
+            tensors[name] = tensor
     return kind, config, tensors

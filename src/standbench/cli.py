@@ -12,6 +12,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import bench as bench_mod
 from .bench import ExperimentConfig, ResultsTable, load_fitted, save_fitted
 from .data import (
@@ -77,6 +79,8 @@ def cmd_score(args) -> int:
         scores = detector.score(zscore_apply(ds, stats).values[lo:hi])
     except ValueError as exc:  # checkpoint tensors that fit neither each other nor the data
         raise IngestError(f"{args.model} cannot score {args.data}: {exc}") from None
+    if not np.isfinite(scores).all():  # finite tensors too large for this data overflow
+        raise IngestError(f"{args.model} gives non-finite scores on {args.data}")
     write_scores_csv(args.out, scores)
     print(f"wrote {len(scores)} scores for [{lo}, {hi}) to {args.out}")
     return 0

@@ -35,3 +35,11 @@ def config_int(name: str, value) -> int:
         except TypeError:
             pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def config_seed(name: str, value) -> int:
+    """A seed: an integer >= 0, the range ``ndcore.make_rng`` takes."""
+    seed = config_int(name, value)
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import load_csv
-from .exceptions import ConfigError, MetricError, config_int
+from .exceptions import ConfigError, MetricError, config_int, config_seed
 from .ndcore import make_rng
 
 DEFAULT_BUFFER_MAX = 8  # default window 32 / 4
@@ -418,7 +418,7 @@ class MetricsConfig:
             raise ConfigError(f"mc_draws must be >= 1, got {self.mc_draws}")
         if config_int("buffer_max", self.buffer_max) < 0:
             raise ConfigError(f"buffer_max must be >= 0, got {self.buffer_max}")
-        config_int("seed", self.seed)
+        config_seed("seed", self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,7 +14,7 @@ import pytest
 
 from family import STAND_DETECTOR_ENTRY, UTAD_DETECTOR_ENTRIES, acceptance_spec_dict
 from instruments import calibrate_gd_learning_rate, timing_probe
-from standbench import cli, data, metrics, stand
+from standbench import bench, cli, data, metrics, stand
 from standbench.ndcore import make_rng
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -213,10 +213,12 @@ class TestAcceptance:
                   elapsed, 10)
 
     @pytest.mark.slow
-    def test_10_bench_determinism(self, tmp_path):
+    def test_10_bench_determinism(self, tmp_path, monkeypatch):
         t0 = time.perf_counter()
         texts = {}
-        for run in ("a", "b"):
+        # a and b run their two (dataset, seed) groups on two forked workers, c in-process
+        for run, cpus in (("a", 2), ("b", 2), ("c", 1)):
+            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
             out_dir = tmp_path / run
             config = {
                 "name": "determinism",
@@ -226,7 +228,7 @@ class TestAcceptance:
                     {**STAND_DETECTOR_ENTRY, "epochs": 10},
                 ],
                 "split_thresholds": [0.10],
-                "seeds": [0],
+                "seeds": [0, 1],
                 "output_dir": str(out_dir),
                 "metrics": {"buffer_max": 8, "mc_draws": 32},
             }
@@ -239,7 +241,9 @@ class TestAcceptance:
                 for name in ("json", "csv", "md")
             }
         identical = texts["a"] == texts["b"]
+        pool_like_in_process = texts["a"] == texts["c"]
         elapsed = time.perf_counter() - t0
-        criterion(10, "bench determinism", identical,
-                  "two fresh end-to-end runs produced bitwise-identical result files",
+        criterion(10, "bench determinism", identical and pool_like_in_process,
+                  "two fresh end-to-end runs produced bitwise-identical result files, "
+                  "and a pooled run the same files as an in-process one",
                   elapsed, 600)

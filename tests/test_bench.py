@@ -145,24 +145,41 @@ class TestRunExperiment:
         assert {row.dataset for row in table.rows} == {"series@0.1"}
 
 
+@pytest.fixture(params=["in_process", "pool"])
+def grid_path(request, monkeypatch):
+    """Run a grid's (dataset, seed) groups in this process, or on two forked workers."""
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2 if request.param == "pool" else 1)
+    return request.param
+
+
 class TestSharedSeries:
-    def test_one_generation_per_dataset_and_seed(self, tmp_path, monkeypatch):
-        calls = []
+    def test_one_generation_per_dataset_and_seed(self, tmp_path, monkeypatch, grid_path):
+        log = tmp_path / "generated.txt"  # forked workers append to it too
         real = bench.generate_synthetic
 
         def counting(spec):
-            calls.append(spec.seed)
+            with open(log, "a") as fh:
+                fh.write(f"{spec.seed} {os.getpid()}\n")
             return real(spec)
+
+        def calls():
+            lines = log.read_text().split() if log.exists() else []
+            return sorted(int(seed) for seed in lines[::2]), set(map(int, lines[1::2]))
 
         monkeypatch.setattr(bench, "generate_synthetic", counting)
         cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "pca", "rank": 2}],
                            thresholds=(0.05, 0.1), seeds=(0, 1))
         table, failures = bench.run_experiment(cfg)
         assert not failures and len(table.rows) == 8
-        assert sorted(calls) == [3, 4]  # spec seed 3 plus each run seed
-        calls.clear()
+        seeds, pids = calls()
+        assert seeds == [3, 4]  # spec seed 3 plus each run seed
+        if grid_path == "pool" and hasattr(os, "fork"):
+            assert os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
+        log.unlink()
         bench.run_experiment(cfg)  # warm: every cell is cached
-        assert calls == []
+        assert calls()[0] == []
 
     def test_cells_share_read_only_arrays(self, tmp_path, monkeypatch):
         seen = []
@@ -194,7 +211,7 @@ class TestSharedSeries:
 
 class TestNumericFailures:
     @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
-    def test_raising_detector_fails_its_cells_only(self, tmp_path, monkeypatch, error):
+    def test_raising_detector_fails_its_cells_only(self, tmp_path, monkeypatch, error, grid_path):
         def broken_fit(self, values, labels=None):
             raise error("did not converge")
 
@@ -211,11 +228,41 @@ class TestNumericFailures:
         assert os.path.exists(os.path.join(cfg.output_dir, "mini_results.md"))
 
 
+class TestProcessPool:
+    def test_pool_and_in_process_write_identical_files(self, tmp_path, monkeypatch):
+        second = {**small_spec_dict(seed=7), "name": "other"}
+        files = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            doc = {**small_config(tmp_path, thresholds=(0.05, 0.1)).to_dict(),
+                   "output_dir": str(out), "seeds": [0, 1],
+                   "datasets": [{"synthetic": small_spec_dict()}, {"synthetic": second}],
+                   "detectors": [{"kind": "random"}, {"kind": "pca", "rank": 2}]}
+            # half the cells cached first: every group mixes cached and computed cells
+            bench.run_experiment(ExperimentConfig.from_dict({**doc, "detectors": doc["detectors"][1:]}))
+            table, failures = bench.run_experiment(ExperimentConfig.from_dict(doc))
+            assert not failures and len(table.rows) == 16
+            files[cpus] = {os.path.relpath(os.path.join(root, name), out):
+                           open(os.path.join(root, name), "rb").read()
+                           for root, _, names in os.walk(out) for name in names}
+        assert len(files[1]) == 16 + 3 and files[2] == files[1]
+
+    def test_worker_error_is_raised(self, tmp_path, monkeypatch, grid_path):
+        def broken_fit(self, values, labels=None):
+            raise KeyError("not a cell failure")
+
+        monkeypatch.setattr(baselines.PcaDetector, "fit", broken_fit)
+        cfg = small_config(tmp_path, detectors=[{"kind": "pca", "rank": 2}], seeds=(0, 1))
+        with pytest.raises(KeyError, match="not a cell failure"):
+            bench.run_experiment(cfg)
+
+
 class TestAggregation:
     def make_table(self):
         table = ResultsTable(name="agg")
         for seed, auc in ((0, 80.0), (1, 90.0), (2, 100.0)):
-            table.add(bench.CellRecord(
+            table.rows.append(bench.CellRecord(
                 detector="d", dataset="x@0.1", seed=seed,
                 report=MetricReport(cce=10, f1=20, aff_f1=30, uaff_f1=40,
                                     auc_roc=auc, vus_pr=60, threshold=0.5, seed=seed),
@@ -243,7 +290,7 @@ class TestReportRendering:
     def test_markdown_bolds_column_best(self):
         table = ResultsTable(name="r")
         for det, auc in (("a", 70.0), ("b", 90.0)):
-            table.add(bench.CellRecord(
+            table.rows.append(bench.CellRecord(
                 detector=det, dataset="x@0.1", seed=0,
                 report=MetricReport(cce=10, f1=20, aff_f1=30, uaff_f1=40,
                                     auc_roc=auc, vus_pr=60, threshold=0.0, seed=0)))
@@ -255,8 +302,8 @@ class TestReportRendering:
 
     def test_failures_render_explicitly(self):
         table = ResultsTable(name="r")
-        table.add(bench.CellRecord(detector="a", dataset="x@0.9", seed=0,
-                                   error="threshold unreachable"))
+        table.rows.append(bench.CellRecord(detector="a", dataset="x@0.9", seed=0,
+                                           error="threshold unreachable"))
         for fmt in ("csv", "markdown"):
             text = bench.render_table(table, fmt)
             assert "FAILED(threshold unreachable)" in text
@@ -270,7 +317,7 @@ class TestReportRendering:
 
     def subject_table(self):
         table = ResultsTable(name="rt")
-        table.add(bench.CellRecord(
+        table.rows.append(bench.CellRecord(
             detector="a", dataset="x@0.1", seed=0,
             report=MetricReport(cce=1.25, f1=2.5, aff_f1=3.125, uaff_f1=-4.0,
                                 auc_roc=55.0, vus_pr=6.75, threshold=0.123, seed=0)))
@@ -404,13 +451,17 @@ class TestCli:
         {"output_dir": None},
         {"detectors": [{"kind": "random", "label": 7}]},
         {"metrics": {"mc_draws": 2.5}},
+        {"seeds": [0, -1]},
+        {"detectors": [{"kind": "random", "seed": -1}]},
+        {"metrics": {"buffer_max": 4, "mc_draws": 8, "seed": -1}},
     ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
             "negative_buffer", "top_level_key", "float_int", "bool_int", "string_seed",
             "stand_float_window", "detector_not_object", "config_not_object",
             "string_seeds", "float_seeds", "string_threshold", "dataset_without_source",
             "dataset_not_object", "dataset_two_sources", "path_not_string",
             "synthetic_unknown_field", "synthetic_event_not_object", "synthetic_string_T",
-            "output_dir_not_string", "label_not_string", "float_draws"])
+            "output_dir_not_string", "label_not_string", "float_draws",
+            "negative_run_seed", "negative_detector_seed", "negative_metrics_seed"])
     def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, monkeypatch, edit):
         cfg = small_config(tmp_path)
         doc = {**cfg.to_dict(), **edit} if isinstance(edit, dict) else edit
@@ -644,6 +695,28 @@ class TestFittedCheckpoint:
         assert cli.main(["score", "--model", str(model), "--data", str(data_path),
                          "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e300])
+    def test_non_finite_tensor_or_scores_is_ingest_error(self, tmp_path, capsys, value):
+        ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        data_path = tmp_path / "data.csv"
+        write_csv(ds, data_path)
+        det = baselines.build_detector("pca", rank=2).fit(ds.values[:300])
+        model = tmp_path / "model.ckpt"
+        bench.save_fitted(model, det, zscore_fit(ds, (0, 300)))
+        kind, config, tensors = checkpoint.load_checkpoint(model)
+        tensors["det.components"][1, 0] = value
+        checkpoint.save_checkpoint(model, kind, config, tensors)
+        if np.isfinite(value):  # loads, but overflows when it scores
+            bench.load_fitted(model)
+        else:
+            with pytest.raises(IngestError, match="det.components"):
+                bench.load_fitted(model)
+        scores = tmp_path / "s.csv"
+        assert cli.main(["score", "--model", str(model), "--data", str(data_path),
+                         "--out", str(scores)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not scores.exists()
 
     def test_checkpoint_without_normalization_is_ingest_error(self, tmp_path):
         path = tmp_path / "plain.ckpt"

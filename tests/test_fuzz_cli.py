@@ -1,10 +1,11 @@
 """Mutated input files never end in a traceback: ``cli.main`` exits 0, 1 or 2.
 
-Five kinds of input are mutated: a ``bench`` config, a synthetic spec, a
-checkpoint, a results table and a scores CSV. A mutation drops a key (or a
-list element, or a CSV row or cell), gives a value a wrong type, truncates the
-file or flips one of its bytes. Series are tiny and detectors are baselines
-only, so the whole module runs in seconds.
+Seven kinds of input are mutated: a ``bench`` config, a synthetic spec, a
+checkpoint, a results table, a scores CSV, a ``train --detector`` file and a
+data CSV. A mutation drops a key (or a list element, or a CSV row or cell),
+gives a value a wrong type, truncates the file or flips one of its bytes.
+Series are tiny, and the one stand detector trains a single small epoch, so
+the whole module runs in seconds.
 """
 
 import copy
@@ -45,6 +46,9 @@ CONFIG = {
     "metrics": {"buffer_max": 2, "mc_draws": 2, "seed": 0},
 }
 
+DETECTOR = {"kind": "stand", "d_model": 4, "window": 8, "epochs": 1, "batch_size": 16,
+            "train_stride": 4, "seed": 0}
+
 REPORT = MetricReport(cce=1.5, f1=20.0, aff_f1=60.0, uaff_f1=-2.0, auc_roc=55.0,
                       vus_pr=10.0, threshold=0.25, seed=0).to_dict()
 TABLE = {"name": "t", "rows": [
@@ -68,7 +72,7 @@ def _checkpoint(header) -> bytes:
 
 
 def _fixtures():
-    """The series CSV every command reads, and the valid checkpoint and scores."""
+    """The series every command reads, and the valid checkpoint, scores and series rows."""
     ds = generate_synthetic(SyntheticSpec.from_dict(SPEC))
     det = baselines.build_detector("pca", rank=1).fit(ds.values[:40])
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,10 +82,18 @@ def _fixtures():
     hlen = struct.unpack("<I", blob[4:8])[0]
     scores = [["t", "score"]] + [[t, repr(float(v))] for t, v in
                                  enumerate(np.random.default_rng(0).uniform(size=ds.length))]
-    return ds, json.loads(blob[8 : 8 + hlen]), blob[8 + hlen :], scores
+    rows = [["ch0", "ch1", "label"]] + [[repr(float(a)), repr(float(b)), int(y)]
+                                         for (a, b), y in zip(ds.values, ds.labels)]
+    return ds, json.loads(blob[8 : 8 + hlen]), blob[8 + hlen :], scores, rows
 
 
-SERIES, HEADER, PAYLOAD, SCORES = _fixtures()
+SERIES, HEADER, PAYLOAD, SCORES, ROWS = _fixtures()
+
+
+def _train(data, detector, workdir):
+    return ["train", "--data", data, "--threshold", "0.1", "--detector", detector,
+            "--out", os.path.join(workdir, "m.ckpt")]
+
 
 # kind: (valid document, its encoding, argv given the mutated file and a work dir)
 SUBJECTS = {
@@ -96,6 +108,8 @@ SUBJECTS = {
     "scores_csv": (SCORES, _csv, lambda f, d: [
         "evaluate", "--scores", f, "--data", os.path.join(d, "series.csv"),
         "--out", os.path.join(d, "r.json"), "--mc-draws", "2"]),
+    "detector_file": (DETECTOR, _json, lambda f, d: _train(os.path.join(d, "series.csv"), f, d)),
+    "data_csv": (ROWS, _csv, lambda f, d: _train(f, os.path.join(d, "detector.json"), d)),
 }
 
 
@@ -130,6 +144,15 @@ def mutated(draw, doc, encode) -> bytes:
     return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
 
 
+def _write_inputs(blob: bytes) -> None:
+    """The file under test, and the valid series and detector file beside it."""
+    write_csv(SERIES, "series.csv")
+    with open("detector.json", "wb") as fh:
+        fh.write(_json(DETECTOR))
+    with open("input", "wb") as fh:
+        fh.write(blob)
+
+
 @pytest.mark.parametrize("kind", sorted(SUBJECTS))
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(data=st.data())
@@ -137,9 +160,7 @@ def test_mutated_input_exits_cleanly(kind, data):
     doc, encode, argv = SUBJECTS[kind]
     blob = data.draw(mutated(doc, encode), label="input")
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):  # relative output paths land here
-        write_csv(SERIES, "series.csv")
-        with open("input", "wb") as fh:
-            fh.write(blob)
+        _write_inputs(blob)
         assert cli.main(argv("input", tmp)) in (0, 1, 2)
 
 
@@ -147,8 +168,6 @@ def test_mutated_input_exits_cleanly(kind, data):
 def test_unmutated_input_succeeds(kind):
     doc, encode, argv = SUBJECTS[kind]
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
-        write_csv(SERIES, "series.csv")
-        with open("input", "wb") as fh:
-            fh.write(encode(doc))
+        _write_inputs(encode(doc))
         # the bench grid holds an unreachable 0.9 threshold, so some cells fail
         assert cli.main(argv("input", tmp)) == (1 if kind == "bench_config" else 0)
