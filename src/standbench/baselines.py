@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stand as stand_mod
 from .data import TimeSeriesDataset, make_windows
-from .exceptions import ConfigError, ContractError, config_int
+from .exceptions import ConfigError, ContractError, config_float, config_int
 from .ndcore import make_rng, sigmoid
 
 UTAD = "UTAD-I"
@@ -28,9 +28,7 @@ KMEANS_TOL = 1e-6
 
 def random_score(T: int, seed: int) -> np.ndarray:
     """i.i.d. uniform(0,1) scores from the seeded stream."""
-    if T < 1:
-        raise ConfigError("T must be >= 1")
-    return make_rng(seed).uniform(size=T)
+    return make_rng(seed).uniform(size=config_int("T", T, 1))
 
 
 class RandomDetector:
@@ -41,7 +39,7 @@ class RandomDetector:
     seeded = True
 
     def __init__(self, seed: int = 0):
-        self.seed = config_int("seed", seed)
+        self.seed = config_int("seed", seed, 0)
 
     def fit(self, values, labels=None):
         return self
@@ -65,7 +63,7 @@ class PcaDetector:
     seeded = False
 
     def __init__(self, rank: int = 10):
-        self.rank = config_int("rank", rank)
+        self.rank = config_int("rank", rank, 1)
         self.mean_ = None
         self.components_ = None  # (k, C)
 
@@ -114,9 +112,7 @@ class KnnDetector:
     seeded = False
 
     def __init__(self, k: int = 5):
-        self.k = config_int("k", k)
-        if self.k < 1:
-            raise ConfigError("knn needs k >= 1")
+        self.k = config_int("k", k, 1)
         self.train_ = None
 
     def fit(self, values, labels=None):
@@ -171,10 +167,8 @@ class KmeansDetector:
     seeded = True
 
     def __init__(self, n_clusters: int = 10, seed: int = 0):
-        self.n_clusters = config_int("n_clusters", n_clusters)
-        self.seed = config_int("seed", seed)
-        if self.n_clusters < 1:
-            raise ConfigError("kmeans needs n_clusters >= 1")
+        self.n_clusters = config_int("n_clusters", n_clusters, 1)
+        self.seed = config_int("seed", seed, 0)
         self.centroids_ = None
 
     def fit(self, values, labels=None):
@@ -234,8 +228,8 @@ class LogRegDetector:
     seeded = False
 
     def __init__(self, learning_rate: float = 0.1, epochs: int = 500):
-        self.learning_rate = learning_rate
-        self.epochs = config_int("epochs", epochs)
+        self.learning_rate = config_float("learning_rate", learning_rate, positive=True)
+        self.epochs = config_int("epochs", epochs, 1)
         self.w_ = None
         self.b_ = 0.0
 
@@ -283,8 +277,12 @@ class StandDetector:
 
     def __init__(self, train_stride: int = 2, infer_stride: int | None = None, **config):
         self.config = stand_mod.StandConfig(**config)
-        self.train_stride = min(config_int("train_stride", train_stride), self.config.window)
-        self.infer_stride = None if infer_stride is None else config_int("infer_stride", infer_stride)
+        self.train_stride = min(config_int("train_stride", train_stride, 1), self.config.window)
+        self.infer_stride = (None if infer_stride is None
+                             else config_int("infer_stride", infer_stride, 1))
+        if (self.infer_stride or 1) > self.config.window:
+            raise ConfigError(f"infer_stride must be <= window={self.config.window}, "
+                              f"got {self.infer_stride}")
         self.params_ = None
         self.loss_history_ = None
 

@@ -32,7 +32,7 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .exceptions import ConfigError, IngestError, StandbenchError, config_int, config_seed
+from .exceptions import ConfigError, IngestError, StandbenchError, config_float, config_int
 from .metrics import MetricReport, MetricsConfig, evaluate
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
@@ -56,8 +56,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        object.__setattr__(self, "split_thresholds", tuple(float(t) for t in self.split_thresholds))
-        object.__setattr__(self, "seeds", tuple(config_seed("seeds", s) for s in self.seeds))
+        object.__setattr__(self, "split_thresholds",
+                           tuple(config_float("split_thresholds", t) for t in self.split_thresholds))
+        object.__setattr__(self, "seeds", tuple(config_int("seeds", s, 0) for s in self.seeds))
         if not (self.datasets and self.detectors and self.seeds):
             raise ConfigError("config needs at least one dataset, detector and seed")
         if not (isinstance(self.name, str) and isinstance(self.output_dir, str)):
@@ -77,7 +78,7 @@ class ExperimentConfig:
         doc = dict(doc)
         try:
             return cls(metrics=MetricsConfig(**doc.pop("metrics", {})), **doc)
-        except (TypeError, ValueError) as exc:  # an unknown or missing key, a non-number
+        except TypeError as exc:  # an unknown or missing key, a field of the wrong shape
             raise ConfigError(f"invalid experiment config: {exc}") from None
 
     @classmethod
@@ -129,7 +130,7 @@ def _build_seeded_detector(entry: dict, seed: int):
     cfg = {k: v for k, v in entry.items() if k not in ("kind", "label")}
     kind = entry.get("kind")
     if kind in DETECTOR_KINDS and DETECTOR_KINDS[kind].seeded:
-        cfg["seed"] = config_seed("seed", cfg.get("seed", 0)) + seed
+        cfg["seed"] = config_int("seed", cfg.get("seed", 0), 0) + seed
     return build_detector(kind, **cfg)
 
 
@@ -323,54 +324,46 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     return table, any(record.error is not None for record in table.rows)
 
 
+# A cell's own failures: a StandbenchError, or a numerical failure of its
+# detector or metrics. Each is recorded as that cell's failure, so the rest of
+# the grid still runs.
+_CELL_ERRORS = (StandbenchError, np.linalg.LinAlgError, FloatingPointError)
+
+
 def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -> list:
     """The records of one (dataset, seed) group's cells, given as
-    (path, subset, threshold, detector entry, seed), in order."""
-    series = _SeriesCache(dataset_entry)
+    (path, subset, threshold, detector entry, seed), in order.
+
+    The series is materialized once and made read-only, since every cell
+    reads the same arrays: a cell that wrote into them would change the input
+    of the cells after it. A series that cannot be made fails every cell.
+    """
+    try:
+        series = materialize_dataset(dataset_entry, cells[0][-1])
+    except _CELL_ERRORS as exc:
+        series = exc
+    else:
+        for array in (series.values, series.labels):
+            if array is not None:
+                array.flags.writeable = False
     return [_compute_cell(series, subset, threshold, detector_entry, seed, config)
             for _, subset, threshold, detector_entry, seed in cells]
 
 
-class _SeriesCache:
-    """One dataset entry's series per run seed, materialized on first use.
-
-    Every cell of a (dataset entry, seed) reads the same arrays, so they are
-    made read-only: a cell that tried to write into them would change the
-    input of the cells after it.
-    """
-
-    def __init__(self, entry: dict):
-        self.entry = entry
-        self._by_seed: dict[int, TimeSeriesDataset] = {}
-
-    def get(self, seed: int) -> TimeSeriesDataset:
-        if seed not in self._by_seed:
-            ds = materialize_dataset(self.entry, seed)
-            for array in (ds.values, ds.labels):
-                if array is not None:
-                    array.flags.writeable = False
-            self._by_seed[seed] = ds
-        return self._by_seed[seed]
-
-
-# Numerical failures of one cell's detector or metrics: recorded as that
-# cell's failure, like a StandbenchError, so the rest of the grid still runs.
-_NUMERIC_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
-
-
-def _compute_cell(series: _SeriesCache, subset, threshold, detector_entry, seed,
-                  config) -> CellRecord:
+def _compute_cell(series: TimeSeriesDataset | Exception, subset, threshold, detector_entry,
+                  seed, config) -> CellRecord:
+    """One cell's record; ``series`` is the group's dataset, or the error that
+    materializing it raised."""
     label = detector_label(detector_entry)
     try:
-        ds = series.get(seed)
-        report = run_cell(ds, threshold, detector_entry, seed, config.metrics)
+        if isinstance(series, Exception):
+            raise series
+        report = run_cell(series, threshold, detector_entry, seed, config.metrics)
         report.metadata["dataset"] = subset
         return CellRecord(detector=label, dataset=subset, seed=seed, report=report)
-    except StandbenchError as exc:
-        return CellRecord(detector=label, dataset=subset, seed=seed, error=str(exc))
-    except _NUMERIC_ERRORS as exc:
-        return CellRecord(detector=label, dataset=subset, seed=seed,
-                          error=f"{type(exc).__name__}: {exc}")
+    except _CELL_ERRORS as exc:
+        error = str(exc) if isinstance(exc, StandbenchError) else f"{type(exc).__name__}: {exc}"
+        return CellRecord(detector=label, dataset=subset, seed=seed, error=error)
 
 
 def write_table(table: ResultsTable, output_dir: str) -> None:

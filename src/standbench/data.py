@@ -7,13 +7,12 @@ instance, so concurrent readers never need locks.
 from __future__ import annotations
 
 import csv
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, IngestError, SplitError, config_int
+from .exceptions import ConfigError, IngestError, SplitError, config_float, config_int
 from .ndcore import make_rng
 
 STD_FLOOR = 1e-8  # degenerate channels are clamped to this std
@@ -100,9 +99,9 @@ class AnomalyEvent:
     magnitude: float
 
     def __post_init__(self):
-        object.__setattr__(self, "start", config_int("start", self.start))
-        object.__setattr__(self, "duration", config_int("duration", self.duration))
-        object.__setattr__(self, "magnitude", _spec_float("magnitude", self.magnitude))
+        object.__setattr__(self, "start", config_int("start", self.start, 0))
+        object.__setattr__(self, "duration", config_int("duration", self.duration, 1))
+        object.__setattr__(self, "magnitude", config_float("magnitude", self.magnitude))
 
     def to_dict(self) -> dict:
         return {
@@ -114,13 +113,6 @@ class AnomalyEvent:
 
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst")
-
-
-def _spec_float(name: str, value) -> float:
-    """A real-valued spec field: an int or float, but no bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -160,19 +152,17 @@ class SyntheticSpec:
             ev if isinstance(ev, AnomalyEvent) else AnomalyEvent(**ev) for ev in self.anomalies
         )
         object.__setattr__(self, "anomalies", events)
-        for name in ("T", "C", "seed"):
-            object.__setattr__(self, name, config_int(name, getattr(self, name)))
+        for name, minimum in (("T", 1), ("C", 1), ("seed", 0)):
+            object.__setattr__(self, name, config_int(name, getattr(self, name), minimum))
         for name in ("ar_coeff", "noise_scale"):
-            object.__setattr__(self, name, _spec_float(name, getattr(self, name)))
-        periods = tuple(_spec_float("sine_periods", p) for p in self.sine_periods)
+            object.__setattr__(self, name, config_float(name, getattr(self, name)))
+        periods = tuple(config_float("sine_periods", p, positive=True) for p in self.sine_periods)
         object.__setattr__(self, "sine_periods", periods)
-        if self.T < 1 or self.C < 1:
-            raise ConfigError("synthetic spec needs T >= 1 and C >= 1")
         spans = []
         for ev in events:
             if ev.kind not in ANOMALY_KINDS:
                 raise ConfigError(f"unknown anomaly kind '{ev.kind}'")
-            if ev.duration < 1 or ev.start < 0 or ev.start + ev.duration > self.T:
+            if ev.start + ev.duration > self.T:
                 raise ConfigError(f"anomaly {ev} falls outside [0, {self.T})")
             spans.append((ev.start, ev.start + ev.duration))
         spans.sort()

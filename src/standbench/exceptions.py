@@ -1,6 +1,8 @@
 """Shared exception types, one per error category used across the package."""
 
+import numbers
 import operator
+import sys
 
 
 class StandbenchError(Exception):
@@ -27,19 +29,22 @@ class MetricError(StandbenchError):
     """Metric undefined for the given inputs (e.g. single-class labels)."""
 
 
-def config_int(name: str, value) -> int:
-    """An integer hyperparameter: whatever ``operator.index`` takes, but no bool."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+def config_int(name: str, value, minimum: int | None = None) -> int:
+    """An integer setting: whatever ``operator.index`` takes, but no bool, and
+    at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    number = operator.index(value)
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
-def config_seed(name: str, value) -> int:
-    """A seed: an integer >= 0, the range ``ndcore.make_rng`` takes."""
-    seed = config_int(name, value)
-    if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
-    return seed
+def config_float(name: str, value, positive: bool = False) -> float:
+    """A real setting: a finite int or float, but no bool, and > 0 if ``positive``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):  # no NaN, inf or int beyond a float
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{name} must be > 0, got {value!r}")
+    return float(value)

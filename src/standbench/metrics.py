@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import load_csv
-from .exceptions import ConfigError, MetricError, config_int, config_seed
+from .exceptions import ConfigError, MetricError, config_int
 from .ndcore import make_rng
 
 DEFAULT_BUFFER_MAX = 8  # default window 32 / 4
@@ -414,11 +414,8 @@ class MetricsConfig:
 
     def __post_init__(self):
         # zero draws or a negative buffer would average an empty list into NaN
-        if config_int("mc_draws", self.mc_draws) < 1:
-            raise ConfigError(f"mc_draws must be >= 1, got {self.mc_draws}")
-        if config_int("buffer_max", self.buffer_max) < 0:
-            raise ConfigError(f"buffer_max must be >= 0, got {self.buffer_max}")
-        config_seed("seed", self.seed)
+        for name, minimum in (("buffer_max", 0), ("mc_draws", 1), ("seed", 0)):
+            config_int(name, getattr(self, name), minimum)
 
     def to_dict(self) -> dict:
         return asdict(self)

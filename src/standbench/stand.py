@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import WindowSet, reassemble, window_starts
-from .exceptions import ConfigError, ContractError, config_int
+from .exceptions import ConfigError, ContractError, config_float, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
 
 LAYERNORM_EPS = 1e-5
@@ -54,19 +54,11 @@ class StandConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_channels", "d_model", "mlp_layers", "tem_layers", "window",
-                     "epochs", "batch_size", "seed"):
-            setattr(self, name, config_int(name, getattr(self, name)))
-        if self.input_channels < 1:
-            raise ConfigError("input_channels must be >= 1")
-        if self.d_model < 1 or self.tem_layers < 1 or self.mlp_layers < 1:
-            raise ConfigError("d_model, tem_layers and mlp_layers must be >= 1")
-        if self.window < 2:
-            raise ConfigError("window must be >= 2")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        for name, minimum in (("input_channels", 1), ("d_model", 1), ("mlp_layers", 1),
+                              ("tem_layers", 1), ("window", 2), ("epochs", 1),
+                              ("batch_size", 1), ("seed", 0)):
+            setattr(self, name, config_int(name, getattr(self, name), minimum))
+        self.learning_rate = config_float("learning_rate", self.learning_rate, positive=True)
         if self.optimizer not in ("adam", "gd"):
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
 

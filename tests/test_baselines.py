@@ -1,9 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from standbench import baselines, bench, checkpoint
+from standbench import baselines, bench, checkpoint, stand
 from standbench.checkpoint import load_checkpoint, save_checkpoint
 from standbench.data import NormStats
 from standbench.exceptions import ConfigError, ContractError
@@ -215,6 +216,27 @@ class TestDetectorContracts:
             baselines.build_detector("stand", d_model=4)
         with pytest.raises(ConfigError, match="strid"):
             baselines.build_detector("stand", input_channels=3, strid=2)
+
+
+def numeric_parameters():
+    """(kind, parameter) for every detector constructor parameter and every
+    StandConfig field whose default is an int or a float (not a bool)."""
+    for kind, cls in baselines.DETECTOR_KINDS.items():
+        params = dict(inspect.signature(cls).parameters)
+        if kind == "stand":
+            params.update(inspect.signature(stand.StandConfig).parameters)
+        for name, param in params.items():
+            if type(param.default) in (int, float):
+                yield kind, name
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize("value", [True, "1", float("nan")], ids=["bool", "string", "nan"])
+    @pytest.mark.parametrize("kind, name", list(numeric_parameters()))
+    def test_wrong_kind_of_number_rejected(self, kind, name, value):
+        base = {"input_channels": 3} if kind == "stand" else {}
+        with pytest.raises(ConfigError, match=name):
+            baselines.build_detector(kind, **base, **{name: value})
 
 
 # One small fitted detector per kind; stand with a non-default train stride.

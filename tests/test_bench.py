@@ -45,6 +45,37 @@ def small_config(tmp_path, detectors=None, thresholds=(0.1,), seeds=(0,), name="
     })
 
 
+STAND = {"kind": "stand", "input_channels": 3, "d_model": 4, "window": 16, "epochs": 1}
+
+# Detector settings out of range or of the wrong kind, each with the field its
+# error names.
+BAD_DETECTORS = {
+    "logreg_string_rate": ({"kind": "logreg", "learning_rate": "0.1"}, "learning_rate"),
+    "logreg_bool_rate": ({"kind": "logreg", "learning_rate": True}, "learning_rate"),
+    "logreg_nan_rate": ({"kind": "logreg", "learning_rate": float("nan")}, "learning_rate"),
+    "logreg_zero_rate": ({"kind": "logreg", "learning_rate": 0}, "learning_rate"),
+    "logreg_zero_epochs": ({"kind": "logreg", "epochs": 0}, "epochs"),
+    "pca_zero_rank": ({"kind": "pca", "rank": 0}, "rank"),
+    "pca_negative_rank": ({"kind": "pca", "rank": -1}, "rank"),
+    "stand_zero_train_stride": ({**STAND, "train_stride": 0}, "train_stride"),
+    "stand_zero_infer_stride": ({**STAND, "infer_stride": 0}, "infer_stride"),
+    "stand_infer_stride_past_window": ({**STAND, "infer_stride": 17}, "infer_stride"),
+    "stand_nan_rate": ({**STAND, "learning_rate": float("nan")}, "learning_rate"),
+}
+
+# The same for a whole bench config: an edit of small_config and the field named.
+BAD_SETTINGS = {
+    **{name: ({"detectors": [entry]}, field) for name, (entry, field) in BAD_DETECTORS.items()},
+    "zero_sine_period": (
+        {"datasets": [{"synthetic": {**small_spec_dict(), "sine_periods": [0]}}]},
+        "sine_periods"),
+    "nan_magnitude": ({"datasets": [{"synthetic": {**small_spec_dict(), "anomalies": [
+        {"kind": "spike", "start": 60, "duration": 6, "magnitude": float("nan")}]}}]},
+        "magnitude"),
+    "string_threshold_number": ({"split_thresholds": ["0.1"]}, "split_thresholds"),
+}
+
+
 class TestConfig:
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -195,6 +226,22 @@ class TestSharedSeries:
         bench.run_experiment(cfg)
         assert len(seen) == 4 and all(ds is seen[0] for ds in seen)
         assert not seen[0].values.flags.writeable and not seen[0].labels.flags.writeable
+
+    def test_series_that_cannot_be_made_fails_its_group(self, tmp_path, monkeypatch):
+        calls = []
+
+        def broken(path, label_column):
+            calls.append(path)
+            raise IngestError(f"{path}: row 3, column 'ch0' is not a number")
+
+        monkeypatch.setattr(bench, "load_csv", broken)
+        doc = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "knn"}],
+                           thresholds=(0.05, 0.1)).to_dict()
+        cfg = ExperimentConfig.from_dict({**doc, "datasets": [{"path": "series.csv"}]})
+        table, failures = bench.run_experiment(cfg)
+        assert failures and calls == ["series.csv"]  # made once, not once per cell
+        assert [row.error for row in table.rows] == [
+            "series.csv: row 3, column 'ch0' is not a number"] * 4
 
     def test_shared_series_equal_fresh_ones(self, tmp_path):
         # the grid's table is the same as one that materializes per cell
@@ -454,6 +501,7 @@ class TestCli:
         {"seeds": [0, -1]},
         {"detectors": [{"kind": "random", "seed": -1}]},
         {"metrics": {"buffer_max": 4, "mc_draws": 8, "seed": -1}},
+        *(edit for edit, _ in BAD_SETTINGS.values()),
     ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
             "negative_buffer", "top_level_key", "float_int", "bool_int", "string_seed",
             "stand_float_window", "detector_not_object", "config_not_object",
@@ -461,7 +509,8 @@ class TestCli:
             "dataset_not_object", "dataset_two_sources", "path_not_string",
             "synthetic_unknown_field", "synthetic_event_not_object", "synthetic_string_T",
             "output_dir_not_string", "label_not_string", "float_draws",
-            "negative_run_seed", "negative_detector_seed", "negative_metrics_seed"])
+            "negative_run_seed", "negative_detector_seed", "negative_metrics_seed",
+            *BAD_SETTINGS])
     def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, monkeypatch, edit):
         cfg = small_config(tmp_path)
         doc = {**cfg.to_dict(), **edit} if isinstance(edit, dict) else edit
@@ -473,6 +522,11 @@ class TestCli:
         assert cli.main(["bench", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(cfg.output_dir)  # rejected before any cell ran
+
+    @pytest.mark.parametrize("edit, field", BAD_SETTINGS.values(), ids=list(BAD_SETTINGS))
+    def test_out_of_range_setting_error_names_its_field(self, tmp_path, edit, field):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict({**small_config(tmp_path).to_dict(), **edit})
 
     def test_exit_code_two_on_malformed_train_and_evaluate(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -494,7 +548,8 @@ class TestCli:
         json.dumps({"kind": "logreg", "epochs": False}),
         json.dumps([{"kind": "knn"}]),
         '{"kind": "knn",',
-    ], ids=["float_int", "bool_int", "json_list", "invalid_json"])
+        *(json.dumps(entry) for entry, _ in BAD_DETECTORS.values()),
+    ], ids=["float_int", "bool_int", "json_list", "invalid_json", *BAD_DETECTORS])
     def test_exit_code_two_on_malformed_detector_file(self, tmp_path, capsys, text):
         data_path = tmp_path / "data.csv"
         write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), data_path)
@@ -673,6 +728,22 @@ class TestFittedCheckpoint:
         checkpoint.save_checkpoint(path, kind, {"detector": config}, norm)
         with pytest.raises(IngestError):
             bench.load_fitted(path)
+
+    def test_checkpoint_with_out_of_range_config_is_ingest_error(self, tmp_path, capsys):
+        ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        data_path = tmp_path / "data.csv"
+        write_csv(ds, data_path)
+        model = tmp_path / "model.ckpt"
+        bench.save_fitted(model, baselines.build_detector("pca", rank=2).fit(ds.values[:300]),
+                          zscore_fit(ds, (0, 300)))
+        kind, config, tensors = checkpoint.load_checkpoint(model)
+        checkpoint.save_checkpoint(model, kind, {"detector": {"rank": 0}}, tensors)
+        with pytest.raises(IngestError, match="rank"):
+            bench.load_fitted(model)
+        assert cli.main(["score", "--model", str(model), "--data", str(data_path),
+                         "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("edit", ["drop", "resize"])
     def test_stand_checkpoint_with_bad_tensor_is_ingest_error(self, tmp_path, capsys, edit):

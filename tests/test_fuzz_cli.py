@@ -4,6 +4,8 @@ Seven kinds of input are mutated: a ``bench`` config, a synthetic spec, a
 checkpoint, a results table, a scores CSV, a ``train --detector`` file and a
 data CSV. A mutation drops a key (or a list element, or a CSV row or cell),
 gives a value a wrong type, truncates the file or flips one of its bytes.
+Every detector hyperparameter of the bench config also gets every wrong type,
+whether or not a drawn mutation reaches it.
 Series are tiny, and the one stand detector trains a single small epoch, so
 the whole module runs in seconds.
 """
@@ -39,7 +41,8 @@ CONFIG = {
     "name": "fz",
     "datasets": [{"synthetic": SPEC}],
     "detectors": [{"kind": "random"}, {"kind": "pca", "rank": 1, "label": "pca1"},
-                  {"kind": "knn", "k": 2}],
+                  {"kind": "knn", "k": 2}, {"kind": "kmeans", "n_clusters": 2, "seed": 1},
+                  {"kind": "logreg", "learning_rate": 0.1, "epochs": 20}],
     "split_thresholds": [0.1, 0.9],
     "seeds": [0],
     "output_dir": "out",
@@ -162,6 +165,23 @@ def test_mutated_input_exits_cleanly(kind, data):
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):  # relative output paths land here
         _write_inputs(blob)
         assert cli.main(argv("input", tmp)) in (0, 1, 2)
+
+
+# (detector index, key) of every hyperparameter in the bench config
+HYPERPARAMETERS = [(i, key) for i, entry in enumerate(CONFIG["detectors"])
+                   for key in entry if key not in ("kind", "label")]
+
+
+@pytest.mark.parametrize("index, key", HYPERPARAMETERS, ids=[
+    f"{CONFIG['detectors'][i]['kind']}.{key}" for i, key in HYPERPARAMETERS])
+def test_wrong_typed_hyperparameter_exits_cleanly(index, key):
+    # the drawn mutations retype only some keys; here every hyperparameter gets every wrong type
+    for value in WRONG_TYPES:
+        doc = copy.deepcopy(CONFIG)
+        doc["detectors"][index][key] = value
+        with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
+            _write_inputs(_json(doc))
+            assert cli.main(["bench", "--config", "input"]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("kind", sorted(SUBJECTS))
