@@ -34,6 +34,7 @@ from .data import (
 )
 from .exceptions import ConfigError, IngestError, StandbenchError, config_float, config_int
 from .metrics import MetricReport, MetricsConfig, evaluate
+from .pool import completed
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
 # Part of every cell's cache key: bump it whenever a code change can alter a
@@ -250,19 +251,12 @@ def _cell_path(output_dir: str, payload: dict) -> str:
     return os.path.join(output_dir, "cells", digest + ".json")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     """Run every configured cell, reusing cached ones; returns (table, had_failures).
 
     Uncached cells are computed in groups of one (dataset, run seed), so each
-    series is materialized once. Several groups run in forked worker
-    processes, one per usable CPU at most: forked workers inherit this
+    series is materialized once. Several groups run on ``pool.completed``'s
+    forked workers, one per usable CPU at most: forked workers inherit this
     process's modules and numeric setup, so a cell gets the same bits in
     either place. Only this process writes files: each group's cells as soon
     as the group finishes, then the tables with their rows in config order.
@@ -296,28 +290,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                         groups.setdefault((index, seed), []).append(
                             (path, subset, threshold, detector_entry, seed))
 
-    def keep(cells, computed) -> None:
-        for (path, *_), record in zip(cells, computed):
+    tasks = [(config.datasets[index], cells, config) for (index, _), cells in groups.items()]
+    for done, computed in completed(_compute_group, tasks):
+        for (path, *_), record in zip(tasks[done][1], computed):
             atomic_write(path, json.dumps(record.to_dict(), sort_keys=True, indent=1))
             records[path] = record
-
-    workers = min(len(groups), _usable_cpus())
-    if workers > 1 and hasattr(os, "fork"):
-        # imported here, so that importing the package does not pay for a pool
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-            futures = {pool.submit(_compute_group, config.datasets[index], cells, config): cells
-                       for (index, _), cells in groups.items()}
-            try:
-                for future in as_completed(futures):
-                    keep(futures[future], future.result())
-            finally:  # after an error or an interrupt, start no further group
-                pool.shutdown(cancel_futures=True)
-    else:
-        for (index, _), cells in groups.items():
-            keep(cells, _compute_group(config.datasets[index], cells, config))
 
     table = ResultsTable(name=config.name, rows=[records[path] for path in paths])
     write_table(table, config.output_dir)

@@ -156,6 +156,8 @@ class SyntheticSpec:
             object.__setattr__(self, name, config_int(name, getattr(self, name), minimum))
         for name in ("ar_coeff", "noise_scale"):
             object.__setattr__(self, name, config_float(name, getattr(self, name)))
+        if abs(self.ar_coeff) > 1.0:  # the AR(1) level would grow without bound
+            raise ConfigError(f"ar_coeff must be in [-1, 1], got {self.ar_coeff!r}")
         periods = tuple(config_float("sine_periods", p, positive=True) for p in self.sine_periods)
         object.__setattr__(self, "sine_periods", periods)
         spans = []

@@ -48,3 +48,10 @@ def config_float(name: str, value, positive: bool = False) -> float:
     if positive and value <= 0:
         raise ConfigError(f"{name} must be > 0, got {value!r}")
     return float(value)
+
+
+def config_bool(name: str, value) -> bool:
+    """A boolean setting: ``True`` or ``False``, nothing else read by truthiness."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value

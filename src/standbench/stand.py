@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import WindowSet, reassemble, window_starts
-from .exceptions import ConfigError, ContractError, config_float, config_int
+from .exceptions import ConfigError, ContractError, config_bool, config_float, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
+from .pool import completed, workers
 
 LAYERNORM_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -58,6 +59,8 @@ class StandConfig:
                               ("tem_layers", 1), ("window", 2), ("epochs", 1),
                               ("batch_size", 1), ("seed", 0)):
             setattr(self, name, config_int(name, getattr(self, name), minimum))
+        for name in ("bidirectional", "use_embedding", "use_tem"):
+            config_bool(name, getattr(self, name))
         self.learning_rate = config_float("learning_rate", self.learning_rate, positive=True)
         if self.optimizer not in ("adam", "gd"):
             raise ConfigError(f"unknown optimizer '{self.optimizer}'")
@@ -602,6 +605,11 @@ def infer(
     timestep is embedded once; each batch projects the span of rows its
     windows cover into the first LSTM layer, the windows read those rows by
     index, and no backward trace is kept.
+
+    The batches are split into contiguous runs, one per ``pool.completed``
+    worker, which write their window scores into shared memory. A batch is
+    computed the same way wherever it runs, so the scores do not depend on
+    how many workers there were.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
@@ -612,12 +620,30 @@ def infer(
     stride = stride if stride is not None else max(1, W // 2)
     starts = window_starts(len(x), W, stride)
     h, _ = _embed(x, params, config, keep=False)
-    if config.use_tem:
+    weights = _lstm_weights(params, config) if config.use_tem else None
+    # an anonymous map is shared with forked workers: the rows they write land here
+    scores = np.frombuffer(mmap.mmap(-1, 8 * len(starts) * W), np.float64).reshape(-1, W)
+    batches = -(-len(starts) // batch_size)
+    parts = workers(batches)
+    edges = [min(batch_size * (batches * k // parts), len(starts)) for k in range(parts + 1)]
+    tasks = [(h, weights, params, config, starts[lo:hi], scores[lo:hi], batch_size)
+             for lo, hi in zip(edges, edges[1:])]
+    for _ in completed(_score_windows, tasks):
+        pass
+    ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
+                   values=None, labels=None)
+    return reassemble(ws, scores)
+
+
+def _score_windows(h, weights, params, config: StandConfig, starts, out, batch_size: int) -> None:
+    """Write the logits of the windows at ``starts`` of the embedded series h
+    into ``out`` (len(starts), W), batch by batch; ``weights`` comes from
+    ``_lstm_weights``, or is None without the temporal encoder."""
+    W = config.window
+    if weights is not None:
         D, d = len(config.directions), config.d_model
-        weights = _lstm_weights(params, config)
         w_ih, _, b = weights[0]
         workspace = _Workspace()
-    scores = np.empty((len(starts), W))
     for lo in range(0, len(starts), batch_size):
         batch = starts[lo : lo + batch_size]
         n = len(batch)
@@ -625,7 +651,7 @@ def infer(
             # one window would send the recurrent product to a matrix-vector
             # kernel that rounds unlike the GEMM of larger batches: run it twice
             batch = np.repeat(batch, 2)
-        if config.use_tem:
+        if weights is not None:
             # the rows the (ascending) windows cover, at least W >= 2 of them: a
             # GEMM of two or more rows gives each row the bits of a whole-series
             # projection, so no score depends on batch_size, and the buffer is
@@ -640,10 +666,7 @@ def infer(
         else:
             h_enc = h[batch[:, None] + np.arange(W)]
         # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
-        scores[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
-    ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
-                   values=None, labels=None)
-    return reassemble(ws, scores)
+        out[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
 
 
 # ---------------------------------------------------------------------------

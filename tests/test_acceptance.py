@@ -14,7 +14,7 @@ import pytest
 
 from family import STAND_DETECTOR_ENTRY, UTAD_DETECTOR_ENTRIES, acceptance_spec_dict
 from instruments import calibrate_gd_learning_rate, timing_probe
-from standbench import bench, cli, data, metrics, stand
+from standbench import bench, cli, data, metrics, pool, stand
 from standbench.ndcore import make_rng
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -218,7 +218,7 @@ class TestAcceptance:
         texts = {}
         # a and b run their two (dataset, seed) groups on two forked workers, c in-process
         for run, cpus in (("a", 2), ("b", 2), ("c", 1)):
-            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
             out_dir = tmp_path / run
             config = {
                 "name": "determinism",

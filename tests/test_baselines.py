@@ -239,6 +239,32 @@ class TestNumericSettings:
             baselines.build_detector(kind, **base, **{name: value})
 
 
+def boolean_parameters():
+    """(kind, parameter) for every detector constructor parameter and every
+    StandConfig field whose default is a bool."""
+    for kind, cls in baselines.DETECTOR_KINDS.items():
+        params = dict(inspect.signature(cls).parameters)
+        if kind == "stand":
+            params.update(inspect.signature(stand.StandConfig).parameters)
+        for name, param in params.items():
+            if type(param.default) is bool:
+                yield kind, name
+
+
+class TestBooleanSettings:
+    def test_stand_flags_found(self):
+        assert sorted(boolean_parameters()) == [
+            ("stand", "bidirectional"), ("stand", "use_embedding"), ("stand", "use_tem")]
+
+    # each value used to be read by truthiness: "no" as true, 0 and null as false
+    @pytest.mark.parametrize("value", ["no", 0, None], ids=["string", "zero", "null"])
+    @pytest.mark.parametrize("kind, name", list(boolean_parameters()))
+    def test_non_boolean_rejected(self, kind, name, value):
+        base = {"input_channels": 3} if kind == "stand" else {}
+        with pytest.raises(ConfigError, match=name):
+            baselines.build_detector(kind, **base, **{name: value})
+
+
 # One small fitted detector per kind; stand with a non-default train stride.
 FITTED_ENTRIES = {
     "random": {"seed": 4},

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from standbench import baselines, bench, checkpoint, cli
+from standbench import baselines, bench, checkpoint, cli, pool, stand
 from standbench.bench import ExperimentConfig, ResultsTable
 from standbench.data import (SyntheticSpec, generate_synthetic, write_csv, zscore_apply,
                              zscore_fit)
@@ -61,6 +61,9 @@ BAD_DETECTORS = {
     "stand_zero_infer_stride": ({**STAND, "infer_stride": 0}, "infer_stride"),
     "stand_infer_stride_past_window": ({**STAND, "infer_stride": 17}, "infer_stride"),
     "stand_nan_rate": ({**STAND, "learning_rate": float("nan")}, "learning_rate"),
+    "stand_string_flag": ({**STAND, "use_tem": "no"}, "use_tem"),
+    "stand_zero_flag": ({**STAND, "bidirectional": 0}, "bidirectional"),
+    "stand_null_flag": ({**STAND, "use_embedding": None}, "use_embedding"),
 }
 
 # The same for a whole bench config: an edit of small_config and the field named.
@@ -73,6 +76,8 @@ BAD_SETTINGS = {
         {"kind": "spike", "start": 60, "duration": 6, "magnitude": float("nan")}]}}]},
         "magnitude"),
     "string_threshold_number": ({"split_thresholds": ["0.1"]}, "split_thresholds"),
+    "exploding_ar_coeff": (
+        {"datasets": [{"synthetic": {**small_spec_dict(), "ar_coeff": 1.5}}]}, "ar_coeff"),
 }
 
 
@@ -179,7 +184,7 @@ class TestRunExperiment:
 @pytest.fixture(params=["in_process", "pool"])
 def grid_path(request, monkeypatch):
     """Run a grid's (dataset, seed) groups in this process, or on two forked workers."""
-    monkeypatch.setattr(bench, "_usable_cpus", lambda: 2 if request.param == "pool" else 1)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2 if request.param == "pool" else 1)
     return request.param
 
 
@@ -280,7 +285,7 @@ class TestProcessPool:
         second = {**small_spec_dict(seed=7), "name": "other"}
         files = {}
         for cpus in (2, 1):
-            monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             doc = {**small_config(tmp_path, thresholds=(0.05, 0.1)).to_dict(),
                    "output_dir": str(out), "seeds": [0, 1],
@@ -294,6 +299,36 @@ class TestProcessPool:
                            open(os.path.join(root, name), "rb").read()
                            for root, _, names in os.walk(out) for name in names}
         assert len(files[1]) == 16 + 3 and files[2] == files[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
+    def test_stand_cells_score_in_process_inside_workers(self, tmp_path, monkeypatch):
+        # a pool worker that scored on a pool of its own would fork grandchildren
+        log = tmp_path / "infer.txt"  # forked workers append to it too
+        real = stand.completed
+
+        def recording(fn, tasks):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(tasks)} {pool.workers(2)}\n")
+            return real(fn, tasks)
+
+        monkeypatch.setattr(stand, "completed", recording)
+        files = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            # stride 1 over ~800 held-out steps: several infer batches per cell
+            doc = {**small_config(tmp_path, seeds=(0, 1)).to_dict(), "output_dir": str(out),
+                   "detectors": [{"kind": "random"}, {**STAND, "window": 8, "infer_stride": 1}]}
+            table, failures = bench.run_experiment(ExperimentConfig.from_dict(doc))
+            assert not failures and len(table.rows) == 4
+            files[cpus] = {os.path.relpath(os.path.join(root, name), out):
+                           open(os.path.join(root, name), "rb").read()
+                           for root, _, names in os.walk(out) for name in names}
+            if cpus == 2:  # both stand cells scored in a worker, on one in-process task
+                calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+                assert len(calls) == 2 and all(pid != os.getpid() for pid, _, _ in calls)
+                assert [(tasks, workers) for _, tasks, workers in calls] == [(1, 1), (1, 1)]
+        assert len(files[1]) == 4 + 3 and files[2] == files[1]
 
     def test_worker_error_is_raised(self, tmp_path, monkeypatch, grid_path):
         def broken_fit(self, values, labels=None):

@@ -362,9 +362,11 @@ class TestSynthetic:
         {"noise_scale": "0.3"},
         {"sine_periods": [97.0, None]},
         {"bogus": 1},
+        {"ar_coeff": 1.01},
+        {"ar_coeff": -5},
     ], ids=["event_not_object", "event_missing_key", "event_unknown_key", "string_start",
             "float_duration", "string_T", "float_C", "bool_seed", "string_noise_scale",
-            "null_period", "unknown_field"])
+            "null_period", "unknown_field", "exploding_ar_coeff", "negative_exploding_ar_coeff"])
     def test_from_dict_rejects_malformed_spec(self, edit):
         with pytest.raises(ConfigError):
             data.SyntheticSpec.from_dict({**self.spec().to_dict(), **edit})

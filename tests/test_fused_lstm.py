@@ -1,13 +1,14 @@
 """The fused recurrence, trace-free inference and vectorized reassembly
 against the per-direction and window-by-window references in lstm_oracle."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import lstm_oracle as oracle
-from standbench import data, stand
+from standbench import data, pool, stand
 from standbench.ndcore import make_rng
 
 
@@ -139,6 +140,7 @@ class TestInferAgainstWindowedOracle:
             return array(ws, name, shape)
 
         monkeypatch.setattr(stand._Workspace, "array", recording)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # workspaces in this process
         x = make_rng(8).standard_normal((T, cfg.input_channels))
         tracemalloc.start()
         try:
@@ -148,6 +150,61 @@ class TestInferAgainstWindowedOracle:
             tracemalloc.stop()
         whole_series_projection = 8 * 4 * 2 * T * cfg.d_model
         assert traced_peak + sum(workspace_bytes.values()) < whole_series_projection / 4
+
+
+# (T, stride, batch_size, windows in the last batch) at W = 16
+POOLED_CASES = [
+    (213, 1, 16, 6),  # stride 1: 198 windows, a last batch with a remainder
+    (224, 1, 16, 1),  # 209 windows: a one-window tail batch
+    (213, 8, 5, 1),  # stride W/2: 26 windows with the tail window, a one-window tail batch
+    (213, 16, 4, 2),  # stride W: 14 windows, a last batch of 2
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="infer pools only where os.fork exists")
+class TestPooledInfer:
+    """infer's batches, split across forked workers, give the in-process scores bit for bit."""
+
+    @pytest.mark.parametrize("name", ["full", "no_tem", "unidirectional"])
+    @pytest.mark.parametrize("T, stride, batch_size, last", POOLED_CASES)
+    def test_bitwise_equal_to_in_process(self, tmp_path, monkeypatch, name, T, stride,
+                                         batch_size, last):
+        cfg = stand.StandConfig(input_channels=3, d_model=8, window=16, seed=2,
+                                **CONFIGS[name])
+        params = stand.init_params(cfg)
+        x = make_rng(11).standard_normal((T, 3))
+        starts = data.window_starts(T, cfg.window, stride)
+        assert len(starts) % batch_size == last
+        log = tmp_path / "workers.txt"  # forked workers append to it too
+        real = stand._score_windows
+
+        def logging(h, weights, params, config, starts, out, batch_size):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {starts[0]} {len(starts)}\n")
+            real(h, weights, params, config, starts, out, batch_size)
+
+        monkeypatch.setattr(stand, "_score_windows", logging)
+
+        def scores(cpus):
+            """The scores, and (first window, windows, pid) of each run of windows scored."""
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            log.unlink(missing_ok=True)
+            got = stand.infer(x, params, cfg, stride=stride, batch_size=batch_size)
+            return got, sorted((int(np.searchsorted(starts, int(first))), int(n), int(pid))
+                               for pid, first, n in map(str.split, log.read_text().splitlines()))
+
+        want, runs = scores(1)
+        assert runs == [(0, len(starts), os.getpid())]
+        for cpus in (2, 3):
+            got, runs = scores(cpus)
+            assert got.tobytes() == want.tobytes()
+            # one task per CPU at most, each a contiguous run of whole batches, all
+            # scored in forked workers
+            assert len(runs) == min(cpus, -(-len(starts) // batch_size))
+            assert os.getpid() not in {pid for _, _, pid in runs}
+            ends = [first + n for first, n, _ in runs]
+            assert [first for first, _, _ in runs] == [0] + ends[:-1]
+            assert ends[-1] == len(starts) and all(end % batch_size == 0 for end in ends[:-1])
 
 
 class TestReassembleOracle:

@@ -4,8 +4,9 @@ Seven kinds of input are mutated: a ``bench`` config, a synthetic spec, a
 checkpoint, a results table, a scores CSV, a ``train --detector`` file and a
 data CSV. A mutation drops a key (or a list element, or a CSV row or cell),
 gives a value a wrong type, truncates the file or flips one of its bytes.
-Every detector hyperparameter of the bench config also gets every wrong type,
-whether or not a drawn mutation reaches it.
+Each entry of the bench config (every detector and every other top-level key)
+also gets its own drawn mutations, and every detector hyperparameter gets every
+wrong type, whether or not a drawn mutation reaches it.
 Series are tiny, and the one stand detector trains a single small epoch, so
 the whole module runs in seconds.
 """
@@ -126,11 +127,15 @@ def _paths(node, path=()):
 
 
 @st.composite
-def mutated(draw, doc, encode) -> bytes:
-    op = draw(st.sampled_from(["drop", "retype", "truncate", "flip"]))
+def mutated(draw, doc, encode, under=None) -> bytes:
+    """One mutation of doc; with ``under``, a drop or retype of that path or a
+    value below it."""
+    ops = ["drop", "retype"] if under is not None else ["drop", "retype", "truncate", "flip"]
+    op = draw(st.sampled_from(ops))
     if op in ("drop", "retype"):
         doc = copy.deepcopy(doc)
-        paths = list(_paths(doc))[1:]
+        paths = [path for path in list(_paths(doc))[1:]
+                 if under is None or path[: len(under)] == under]
         path = draw(st.sampled_from(paths))
         parent = doc
         for key in path[:-1]:
@@ -165,6 +170,25 @@ def test_mutated_input_exits_cleanly(kind, data):
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):  # relative output paths land here
         _write_inputs(blob)
         assert cli.main(argv("input", tmp)) in (0, 1, 2)
+
+
+# Every entry of the bench config: each detector entry and each other top-level
+# key. The whole-document draws above mutate only some of them (under pytest,
+# neither the kmeans nor the logreg entry), so each entry gets its own draws.
+CONFIG_ENTRIES = [("detectors", i) for i in range(len(CONFIG["detectors"]))] + [
+    (key,) for key in CONFIG if key != "detectors"]
+
+
+@pytest.mark.parametrize("entry", CONFIG_ENTRIES, ids=[
+    CONFIG["detectors"][entry[1]]["kind"] if len(entry) == 2 else entry[0]
+    for entry in CONFIG_ENTRIES])
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_mutated_config_entry_exits_cleanly(entry, data):
+    blob = data.draw(mutated(CONFIG, _json, under=entry), label="input")
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
+        _write_inputs(blob)
+        assert cli.main(["bench", "--config", "input"]) in (0, 1, 2)
 
 
 # (detector index, key) of every hyperparameter in the bench config
