@@ -32,7 +32,9 @@ from .data import (
     zscore_apply,
     zscore_fit,
 )
-from .exceptions import ConfigError, IngestError, StandbenchError, config_float, config_int
+from .exceptions import (
+    ConfigError, IngestError, StandbenchError, WorkerError, config_float, config_int,
+)
 from .metrics import MetricReport, MetricsConfig, evaluate
 from .pool import completed
 
@@ -338,6 +340,8 @@ def _compute_cell(series: TimeSeriesDataset | Exception, subset, threshold, dete
         report = run_cell(series, threshold, detector_entry, seed, config.metrics)
         report.metadata["dataset"] = subset
         return CellRecord(detector=label, dataset=subset, seed=seed, report=report)
+    except WorkerError:  # a dead worker says nothing about the cell: cache no record
+        raise
     except _CELL_ERRORS as exc:
         error = str(exc) if isinstance(exc, StandbenchError) else f"{type(exc).__name__}: {exc}"
         return CellRecord(detector=label, dataset=subset, seed=seed, error=error)

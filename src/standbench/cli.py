@@ -2,7 +2,8 @@
 bench / sweep / report.
 
 Exit codes: 0 success, 1 when some benchmark cells failed (the table is still
-written), 2 on configuration or ingestion errors.
+written), 2 on configuration or ingestion errors, 3 when a forked worker died
+or failed (a grid keeps the cells of the groups that finished).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .data import (
     write_csv,
     zscore_apply,
 )
-from .exceptions import ConfigError, IngestError, StandbenchError
+from .exceptions import ConfigError, IngestError, StandbenchError, WorkerError
 from .metrics import MetricsConfig, evaluate, read_scores_csv, write_report, write_scores_csv
 
 
@@ -201,6 +202,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (StandbenchError, FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

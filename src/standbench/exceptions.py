@@ -29,6 +29,10 @@ class MetricError(StandbenchError):
     """Metric undefined for the given inputs (e.g. single-class labels)."""
 
 
+class WorkerError(StandbenchError):
+    """A forked worker died or failed; the message names its task or phase."""
+
+
 def config_int(name: str, value, minimum: int | None = None) -> int:
     """An integer setting: whatever ``operator.index`` takes, but no bool, and
     at least ``minimum`` when one is given."""

@@ -34,35 +34,60 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def gelu(x, with_tanh: bool = False):
+def gelu(x, with_tanh: bool = False, out=None):
     """GELU in its tanh form: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
 
     ``with_tanh=True`` returns ``(gelu(x), tanh term)``; a backward pass can
     hand the tanh term to :func:`gelu_grad` instead of recomputing it.
+    ``out`` is three arrays shaped like x: the result, the tanh term and
+    scratch space, so that no temporary is allocated; the bits are the same.
     """
     x = np.asarray(x, dtype=np.float64)
-    x_sq = x * x
-    inner = _SQRT_2_OVER_PI * (x + GELU_CUBIC * x_sq * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    if out is None:
+        out = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    result, t, scratch = out
+    np.multiply(x, x, out=t)
+    t *= GELU_CUBIC
+    t *= x
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    np.multiply(x, 0.5, out=result)
+    result *= np.add(t, 1.0, out=scratch)
     if with_tanh:
-        return out, t
-    return out if out.ndim else float(out)
+        return result, t
+    return result if result.ndim else float(result)
 
 
-def gelu_grad(x, t=None):
+def gelu_grad(x, t=None, out=None):
     """Exact derivative of the tanh-form GELU.
 
     ``t`` is the tanh term from ``gelu(x, with_tanh=True)``; it is recomputed
-    when not given, with the same result.
+    when not given, with the same result. ``out`` is three arrays shaped like
+    x: the result and scratch space, so that no temporary is allocated; the
+    bits are the same.
     """
+    # 0.5*(1 + t) + 0.5*x*(1 - t*t) * sqrt(2/pi)*(1 + 3*0.044715*x^2), rounded
+    # step by step in that order
     x = np.asarray(x, dtype=np.float64)
-    x_sq = x * x
     if t is None:
-        t = np.tanh(_SQRT_2_OVER_PI * (x + GELU_CUBIC * x_sq * x))
-    d_inner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x_sq)
-    out = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-    return out if out.ndim else float(out)
+        t = gelu(x, with_tanh=True)[1]
+    if out is None:
+        out = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
+    result, d_inner, scratch = out
+    np.multiply(x, x, out=d_inner)
+    d_inner *= 3.0 * GELU_CUBIC
+    d_inner += 1.0
+    d_inner *= _SQRT_2_OVER_PI
+    np.multiply(t, t, out=result)
+    np.subtract(1.0, result, out=result)
+    np.multiply(x, 0.5, out=scratch)
+    scratch *= result
+    scratch *= d_inner
+    np.add(t, 1.0, out=result)
+    result *= 0.5
+    result += scratch
+    return result if result.ndim else float(result)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -18,7 +18,6 @@ gradients back in the parameter order.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .data import WindowSet, reassemble, window_starts
 from .exceptions import ConfigError, ContractError, config_bool, config_float, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
-from .pool import completed, workers
+from .pool import Gang, completed, shared_array, workers
 
 LAYERNORM_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -164,21 +163,36 @@ class _Workspace:
     buffer, grown when a larger shape asks for it, so a short last batch gets
     a smaller view of the same memory.
 
-    The buffers are anonymous memory maps, not heap blocks: they go back to
+    The buffers are ``pool.shared_array``s, not heap blocks: they go back to
     the operating system as soon as the workspace is dropped. Freed to the
     heap, tens of megabytes of them could stay resident after ``train`` under
     whatever came next, so peak memory moved with the heap's layout.
+
+    A training gang worker computes rows ``rows`` of a ``batch_rows``-row
+    batch: its ``rows_array``s are its rows of the whole-batch arrays in
+    ``batch``, a workspace the gang shares, and the reductions read those
+    whole. A workspace without ``batch`` holds whole batches itself.
     """
 
-    def __init__(self):
+    def __init__(self, batch: "_Workspace | None" = None):
         self._buffers: dict[str, np.ndarray] = {}
+        self.batch = batch
+        self.rows = slice(None)
+        self.batch_rows = 0
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64)
+            buf = self._buffers[name] = shared_array(max(size, 1))
         return buf[:size].reshape(shape)
+
+    def rows_array(self, name: str, shape: tuple, axis: int = 0) -> np.ndarray:
+        """This workspace's rows (along ``axis``) of the whole-batch array ``name``."""
+        if self.batch is None:
+            return self.array(name, shape)
+        whole = self.batch.array(name, shape[:axis] + (self.batch_rows,) + shape[axis + 1 :])
+        return whole[(slice(None),) * axis + (self.rows,)]
 
 
 @dataclass
@@ -194,19 +208,38 @@ class ForwardTrace:
     workspace: _Workspace
 
 
-def _embed_layer_forward(x, w, b, gain, beta, keep: bool = True):
-    """One affine → GELU → LayerNorm layer; without ``keep`` it builds no cache."""
-    a = x @ w.T + b
-    g, tanh = gelu(a, with_tanh=True) if keep else (gelu(a), None)
+def _embed_layer_forward(x, w, b, gain, beta, keep: bool = True, ws=None, layer: int = 0):
+    """One affine → GELU → LayerNorm layer; without ``keep`` it builds no cache.
+
+    With a workspace ``ws`` every array of the layer is one of its buffers;
+    the normalized GELU output and the layer's output, which the reductions
+    read, are rows arrays.
+    """
+    shape = x.shape[:-1] + (len(b),)
+
+    def new(name, rows=False):
+        if ws is None:
+            return np.empty(shape)
+        return (ws.rows_array if rows else ws.array)(f"embed.{layer}.{name}", shape)
+
+    a = np.matmul(x, w.T, out=new("a"))
+    a += b
+    xhat = new("xhat", rows=True)
+    g, tanh = gelu(a, with_tanh=True, out=(new("g"), new("tanh"), xhat))
     mu = g.mean(axis=-1, keepdims=True)
-    var = g.var(axis=-1, keepdims=True)
+    # the variance np.var takes, from the deviations that xhat scales
+    np.subtract(g, mu, out=xhat)
+    var = np.square(xhat, out=g).sum(axis=-1, keepdims=True)
+    var /= shape[-1]
     inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (g - mu) * inv_std
+    xhat *= inv_std
+    out = np.multiply(xhat, gain, out=new("out", rows=True))
+    out += beta
     cache = _EmbedLayerCache(x=x, a=a, tanh=tanh, xhat=xhat, inv_std=inv_std) if keep else None
-    return xhat * gain + beta, cache
+    return out, cache
 
 
-def _embed(x, params, config: StandConfig, keep: bool = True):
+def _embed(x, params, config: StandConfig, keep: bool = True, ws=None):
     """Per-timestep embedding MLP over (..., C); identity when use_embedding=false.
 
     Without ``keep`` no layer's backward cache is built or held (inference).
@@ -216,7 +249,7 @@ def _embed(x, params, config: StandConfig, keep: bool = True):
         for layer in range(config.mlp_layers):
             x, cache = _embed_layer_forward(
                 x, *(params[f"embed.{layer}.{name}"] for name in ("w", "b", "gain", "beta")),
-                keep=keep,
+                keep=keep, ws=ws, layer=layer,
             )
             if keep:
                 caches.append(cache)
@@ -327,7 +360,7 @@ def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, keep: bool, pro
         c = ws.array(f"lstm.{layer}.c", (n + 1, D, B, d))
         steps = ws.array(f"lstm.{layer}.h", (n + 1, D, B, d))
         tanh_c = ws.array(f"lstm.{layer}.tanh_c", (n, D, B, d))
-        out = ws.array(f"lstm.{layer}.out", (B, W, D, d))
+        out = ws.rows_array(f"lstm.{layer}.out", (B, W, D, d))
         c[0] = 0.0
         steps[0] = 0.0
         _lstm_recurrence(step_gates, w_hh, c, tanh_c, steps,
@@ -344,19 +377,22 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Batched forward over (B, T, C) windows; returns (logits (B, T), trace).
 
-    The trace's LSTM arrays live in ``workspace`` (a fresh one by default), so
-    a trace stays valid only until the next pass on the same workspace.
+    The trace's arrays live in ``workspace`` (a fresh one by default), so a
+    trace stays valid only until the next pass on the same workspace.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != config.input_channels:
         raise ConfigError(f"expected input (B, T, {config.input_channels}), got {x.shape}")
     ws = workspace if workspace is not None else _Workspace()
-    h_embed, embed_caches = _embed(x, params, config)
+    x_in = ws.rows_array("x", x.shape)  # the first layer's input, which a reduction reads
+    x_in[...] = x
+    h_embed, embed_caches = _embed(x_in, params, config, ws=ws)
     h_enc, lstm_caches = h_embed, []
     if config.use_tem:
         h_enc, lstm_caches = _lstm_stack(h_embed, _lstm_weights(params, config), config, ws,
                                          keep=True)
-    logits = h_enc @ params["head.w"] + params["head.b"][0]
+    logits = np.matmul(h_enc, params["head.w"], out=ws.rows_array("logits", x.shape[:2]))
+    logits += params["head.b"][0]
     return logits, ForwardTrace(
         embed=embed_caches, h_embed=h_embed, lstm=lstm_caches, h_enc=h_enc, logits=logits,
         workspace=ws,
@@ -387,14 +423,17 @@ def bce_loss(logits, labels) -> float:
     return float(np.mean(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
 
 
-def _layernorm_backward(dy, cache: _EmbedLayerCache, gain):
-    dgain = np.sum(dy * cache.xhat, axis=(0, 1))
-    dbeta = np.sum(dy, axis=(0, 1))
-    dxhat = dy * gain
+def _layernorm_backward(dy, cache: _EmbedLayerCache, gain, ws: _Workspace):
+    """The LayerNorm input gradient of one layer's rows, in a ``ws`` buffer."""
+    dxhat = np.multiply(dy, gain, out=ws.array("embed.dg", dy.shape))
+    scratch = ws.array("embed.s1", dy.shape)
     m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * cache.xhat).mean(axis=-1, keepdims=True)
-    dg = cache.inv_std * (dxhat - m1 - cache.xhat * m2)
-    return dg, dgain, dbeta
+    m2 = np.multiply(dxhat, cache.xhat, out=scratch).mean(axis=-1, keepdims=True)
+    # inv_std * (dxhat - m1 - xhat * m2)
+    dxhat -= m1
+    dxhat -= np.multiply(cache.xhat, m2, out=scratch)
+    dxhat *= cache.inv_std
+    return dxhat
 
 
 def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh, dz_all):
@@ -437,63 +476,158 @@ def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh, dz_all):
 
 def backward(
     trace: ForwardTrace, labels, params: dict[str, np.ndarray], config: StandConfig
-) -> dict[str, np.ndarray]:
-    """Exact gradients of bce_loss(forward(x)) for every parameter tensor."""
+) -> dict[str, np.ndarray] | None:
+    """Exact gradients of bce_loss(forward(x)) for every parameter tensor.
+
+    A row pass (``_backward_rows``) and then the reductions (``_reduce``).
+    The gradients are arrays of the trace's workspace. A gang worker's
+    trace holds rows of a larger batch: then only the row pass runs, the
+    gang sums over the whole batch afterwards, and this returns None.
+    """
     y = np.asarray(labels, dtype=np.float64)
     if y.ndim == 1:
         y = y[None]
-    B, T = trace.logits.shape
-    if y.shape != (B, T):
-        raise ConfigError(f"labels {y.shape} do not match logits {(B, T)}")
+    if y.shape != trace.logits.shape:
+        raise ConfigError(f"labels {y.shape} do not match logits {trace.logits.shape}")
+    ws = trace.workspace
+    _backward_rows(trace, y, params, config)
+    if ws.batch is not None:
+        return None
+    B, T = y.shape
+    for task in _reductions(config):
+        _reduce(task, ws, B, T, config)
+    return _gradients(ws, params, config)
 
-    grads: dict[str, np.ndarray] = {}
-    dlogits = (sigmoid(trace.logits) - y) / (B * T)
 
-    grads["head.w"] = np.einsum("bt,btk->k", dlogits, trace.h_enc)
-    grads["head.b"] = np.array([dlogits.sum()])
-    dh = dlogits[..., None] * params["head.w"]
+def _backward_rows(trace: ForwardTrace, y, params, config: StandConfig) -> None:
+    """The backward pass of each row on its own: dlogits (scaled by the whole
+    batch), the head, BPTT, the input gradients and the embedding's
+    LayerNorm and GELU. What the reductions read goes into rows arrays."""
+    ws = trace.workspace
+    b, T = y.shape
+    dlogits = np.subtract(sigmoid(trace.logits), y, out=ws.rows_array("dlogits", (b, T)))
+    dlogits /= (b if ws.batch is None else ws.batch_rows) * T
+    d = config.d_model
 
-    if config.use_tem:
-        D, d = len(config.directions), config.d_model
-        ws = trace.workspace
+    def embed_dy(layer):  # the gradient of an embedding layer's output
+        return ws.rows_array(f"embed.{layer}.dy", (b, T, d))
+
+    # each layer writes the gradient of its input where the layer below reads it
+    if not config.use_tem:
+        if config.use_embedding:
+            np.multiply(dlogits[..., None], params["head.w"], out=embed_dy(config.mlp_layers - 1))
+    else:
+        D = len(config.directions)
+        dh = np.multiply(dlogits[..., None], params["head.w"],
+                         out=ws.array("bptt.dh_out", (b, T, D * d)))
         for layer in range(config.tem_layers - 1, -1, -1):
             cache = trace.lstm[layer]
             keys = _lstm_keys(layer, config)
-            dh_steps = ws.array("bptt.dh", (T, D, B, d))
+            dh_steps = ws.array("bptt.dh", (T, D, b, d))
             for k in range(D):
-                dh_steps[:, k] = _in_order(dh.reshape(B, T, D, d)[:, :, k], k).transpose(1, 0, 2)
-            dz_all = ws.array("bptt.dz", (D, B, T, 4 * d))
+                dh_steps[:, k] = _in_order(dh.reshape(b, T, D, d)[:, :, k], k).transpose(1, 0, 2)
+            dz_all = ws.rows_array(f"bptt.{layer}.dz", (D, b, T, 4 * d), axis=1)
             _lstm_recurrence_backward(
                 cache, dh_steps, np.stack([params[key + ".w_hh"] for key in keys]), dz_all
             )
             # each direction's layer input in its processing order beside its
             # h_{t-1}: one GEMM gives both weight gradients
             n_in = cache.x.shape[2]
-            operands = ws.array("bptt.operands", (D, B, T, n_in + d))
+            operands = ws.rows_array(f"bptt.{layer}.operands", (D, b, T, n_in + d), axis=1)
             for k in range(D):
                 operands[k, :, :, :n_in] = _in_order(cache.x, k)
                 operands[k, :, :, n_in:] = cache.h[:-1, k].transpose(1, 0, 2)
-            for k, key in enumerate(keys):
-                dz_flat = dz_all[k].reshape(B * T, -1)
-                dw = dz_flat.T @ operands[k].reshape(B * T, -1)
-                grads[key + ".w_ih"] = np.ascontiguousarray(dw[:, :n_in])
-                grads[key + ".w_hh"] = np.ascontiguousarray(dw[:, n_in:])
-                grads[key + ".b"] = dz_flat.sum(axis=0)
-            dx = np.matmul(dz_all, np.stack([params[key + ".w_ih"] for key in keys])[:, None])
-            dh = dx[0] + dx[1][:, ::-1] if D == 2 else dx[0]
+            if layer == 0 and not config.use_embedding:
+                break
+            dx = np.matmul(dz_all, np.stack([params[key + ".w_ih"] for key in keys])[:, None],
+                           out=ws.array("bptt.dx", (D, b, T, n_in)))
+            dh = embed_dy(config.mlp_layers - 1) if layer == 0 else dh
+            if D == 2:
+                np.add(dx[0], dx[1][:, ::-1], out=dh)
+            else:
+                dh[...] = dx[0]
+    for layer in range(config.mlp_layers - 1, -1, -1) if config.use_embedding else ():
+        cache = trace.embed[layer]
+        dg = _layernorm_backward(embed_dy(layer), cache, params[f"embed.{layer}.gain"], ws)
+        da = gelu_grad(cache.a, cache.tanh, out=(ws.rows_array(f"embed.{layer}.da", (b, T, d)),
+                                                 ws.array("embed.s1", (b, T, d)),
+                                                 ws.array("embed.s2", (b, T, d))))
+        da *= dg
+        if layer > 0:
+            np.matmul(da, params[f"embed.{layer}.w"], out=embed_dy(layer - 1))
 
+
+def _reductions(config: StandConfig) -> list:
+    """The reduce tasks, split by parameter so that no task splits a sum:
+    each LSTM (layer, direction), the head (None), then each embedding layer,
+    top first. Dealt out in this order, the heavy LSTM tasks spread first."""
+    lstm = range(config.tem_layers) if config.use_tem else ()
+    embed = range(config.mlp_layers - 1, -1, -1) if config.use_embedding else ()
+    directions = range(len(config.directions))
+    return [(layer, k) for layer in lstm for k in directions] + [None] + list(embed)
+
+
+def _encoding(ws: _Workspace, B: int, T: int, config: StandConfig) -> np.ndarray:
+    """The whole batch's encoder output, the head's input, from ``ws``."""
+    if config.use_tem:
+        D = len(config.directions)
+        out = ws.array(f"lstm.{config.tem_layers - 1}.out", (B, T, D, config.d_model))
+        return out.reshape(B, T, -1)
     if config.use_embedding:
-        for layer in range(config.mlp_layers - 1, -1, -1):
-            cache = trace.embed[layer]
-            dg, dgain, dbeta = _layernorm_backward(dh, cache, params[f"embed.{layer}.gain"])
-            da = dg * gelu_grad(cache.a, cache.tanh)
-            da_flat = da.reshape(-1, da.shape[-1])
-            grads[f"embed.{layer}.w"] = da_flat.T @ cache.x.reshape(da_flat.shape[0], -1)
-            grads[f"embed.{layer}.b"] = da_flat.sum(axis=0)
-            grads[f"embed.{layer}.gain"] = dgain
-            grads[f"embed.{layer}.beta"] = dbeta
-            dh = da @ params[f"embed.{layer}.w"]
+        return ws.array(f"embed.{config.mlp_layers - 1}.out", (B, T, config.d_model))
+    return ws.array("x", (B, T, config.input_channels))
 
+
+def _reduce(task, ws: _Workspace, B: int, T: int, config: StandConfig) -> None:
+    """Sum one task's gradients over the B rows of the whole-batch arrays
+    that the row pass left in ``ws.batch`` (or ``ws``), into its gradient
+    arrays: an LSTM (layer, direction), the head (None) or an embedding
+    layer (an int). Scratch space comes from ``ws``."""
+    whole = ws.batch or ws
+    D, d = len(config.directions), config.d_model
+
+    def grad(key, shape):
+        return whole.array("grad." + key, shape)
+
+    if task is None:
+        dlogits = whole.array("dlogits", (B, T))
+        h_enc = _encoding(whole, B, T, config)
+        grad("head.w", h_enc.shape[-1:])[...] = np.einsum("bt,btk->k", dlogits, h_enc)
+        grad("head.b", (1,))[0] = dlogits.sum()
+    elif isinstance(task, tuple):
+        layer, k = task
+        key = _lstm_keys(layer, config)[k]
+        n_in = config.embed_width if layer == 0 else D * d
+        dz = whole.array(f"bptt.{layer}.dz", (D, B, T, 4 * d))[k].reshape(B * T, -1)
+        operands = whole.array(f"bptt.{layer}.operands", (D, B, T, n_in + d))[k]
+        np.matmul(dz.T, operands.reshape(B * T, -1), out=grad(key + ".w", (4 * d, n_in + d)))
+        np.sum(dz, axis=0, out=grad(key + ".b", (4 * d,)))
+    else:
+        layer = task
+        x = whole.array(f"embed.{layer - 1}.out", (B, T, d)) if layer else \
+            whole.array("x", (B, T, config.input_channels))
+        dy, xhat, da = (whole.array(f"embed.{layer}.{name}", (B, T, d))
+                        for name in ("dy", "xhat", "da"))
+        np.sum(np.multiply(dy, xhat, out=ws.array("reduce.scratch", (B, T, d))), axis=(0, 1),
+               out=grad(f"embed.{layer}.gain", (d,)))
+        np.sum(dy, axis=(0, 1), out=grad(f"embed.{layer}.beta", (d,)))
+        da_flat = da.reshape(B * T, d)
+        np.matmul(da_flat.T, x.reshape(B * T, -1), out=grad(f"embed.{layer}.w", (d, x.shape[2])))
+        np.sum(da_flat, axis=0, out=grad(f"embed.{layer}.b", (d,)))
+
+
+def _gradients(ws: _Workspace, params, config: StandConfig) -> dict[str, np.ndarray]:
+    """``_reduce``'s gradient arrays in ``ws``, keyed like ``params``: each LSTM
+    direction's w_ih and w_hh are the column blocks of its one GEMM."""
+    grads = {}
+    for key, p in params.items():
+        if key.endswith((".w_ih", ".w_hh")):
+            base, _, name = key.rpartition(".")
+            n_in = params[base + ".w_ih"].shape[1]
+            dw = ws.array(f"grad.{base}.w", (4 * config.d_model, n_in + config.d_model))
+            grads[key] = dw[:, :n_in] if name == "w_ih" else dw[:, n_in:]
+        else:
+            grads[key] = ws.array("grad." + key, p.shape)
     return grads
 
 
@@ -509,35 +643,43 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: dict[str, np.ndarray], ws: _Workspace | None = None) -> "AdamState":
+        """Zero moments, as arrays of ``ws`` when one is given."""
+        def zeros(name, p):
+            return np.zeros_like(p) if ws is None else _filled(ws, name, np.zeros_like(p))
+
+        return cls(step=0, m={k: zeros("adam.m." + k, p) for k, p in params.items()},
+                   v={k: zeros("adam.v." + k, p) for k, p in params.items()})
 
 
-def adam_step(params, grads, state: AdamState, learning_rate: float) -> dict[str, np.ndarray]:
-    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected).
-
-    Returns new parameters; the moment state is advanced in place.
-    """
-    state.step += 1
-    t = state.step
-    out = {}
-    for key, p in params.items():
-        g = grads[key]
-        state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-        state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = state.m[key] / (1.0 - ADAM_BETA1**t)
-        v_hat = state.v[key] / (1.0 - ADAM_BETA2**t)
-        out[key] = p - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+def _filled(ws: _Workspace, name: str, value: np.ndarray) -> np.ndarray:
+    out = ws.array(name, value.shape)
+    out[...] = value
     return out
 
 
+def adam_step(params, grads, state: AdamState, learning_rate: float) -> dict[str, np.ndarray]:
+    """One Adam update (beta1=0.9, beta2=0.999, eps=1e-8, bias-corrected) of
+    ``params`` and the moment state, in place; returns ``params``."""
+    state.step += 1
+    t = state.step
+    for key, p in params.items():
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return params
+
+
 def gd_step(params, grads, learning_rate: float) -> dict[str, np.ndarray]:
-    """Plain gradient descent: theta <- theta - eta * grad."""
-    return {key: p - learning_rate * grads[key] for key, p in params.items()}
+    """Plain gradient descent, in place: theta <- theta - eta * grad; returns ``params``."""
+    for key, p in params.items():
+        p -= learning_rate * grads[key]
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +695,18 @@ class TrainResult:
 
 
 def train(windows: WindowSet, config: StandConfig) -> TrainResult:
-    """Mini-batch training over labeled windows, deterministic given config.seed."""
+    """Mini-batch training over labeled windows, deterministic given config.seed.
+
+    When the work pays for it (``pool.Gang.workers``), the steps run on a
+    ``pool.Gang`` of one worker per usable CPU, this process being worker 0.
+    The first step runs here alone, shard by shard, and sizes every array
+    the gang shares. Then, each step, every worker takes a contiguous shard
+    of the batch's rows through ``forward_batch`` and ``backward``'s row
+    pass, this process takes the loss, the workers split the reductions by
+    parameter, and this process steps the optimizer on the shared
+    parameters. A row's bits do not depend on its shard and no sum is split,
+    so the result is the same bits for any number of workers.
+    """
     if windows.labels is None:
         raise ContractError("supervised training requires labeled windows")
     if windows.values.shape[2] != config.input_channels:
@@ -563,32 +716,84 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
         )
     x_all = windows.values
     y_all = windows.labels.astype(np.float64)
-    n = len(windows)
+    n, W = len(windows), config.window
+    rows = min(config.batch_size, n)
+    # no shard has one row: a recurrent product of one row takes a
+    # matrix-vector kernel that rounds unlike the GEMM of larger batches
+    count = Gang.workers(rows // 2, 3 * flop_estimate(config, W).total * n * config.epochs)
 
-    params = init_params(config)
-    state = AdamState.for_params(params) if config.optimizer == "adam" else None
+    # the parameters, moments and gradients are workspace arrays, so the
+    # gang's workers read what this process's optimizer writes
+    ws = _Workspace()
+    params = {key: _filled(ws, "param." + key, p) for key, p in init_params(config).items()}
+    state = AdamState.for_params(params, ws) if config.optimizer == "adam" else None
     shuffle_rng = make_rng(config.seed, _STREAM_SHUFFLE)
 
-    # the LSTM trace and the BPTT buffers are allocated once and reused by every step
-    workspace = _Workspace()
+    def update(grads):
+        if state is not None:
+            adam_step(params, grads, state, config.learning_rate)
+        else:
+            gd_step(params, grads, config.learning_rate)
+
+    def in_process(idx):
+        logits, trace = forward_batch(x_all[idx], params, config, workspace=ws)
+        loss = bce_loss(logits, y_all[idx])
+        update(backward(trace, y_all[idx], params, config))
+        return loss
+
+    batch = shared_array(rows + 1, np.int64)  # the step's row count, then its window indices
+    grads = _gradients(ws, params, config)
+    tasks = _reductions(config)
+    own: dict[int, _Workspace] = {}  # the private arrays of this process's gang worker
+
+    def workspace(worker):
+        if worker not in own:
+            own[worker] = _Workspace(batch=ws)
+        return own[worker]
+
+    def rows_pass(worker):
+        B = int(batch[0])
+        parts = min(count, max(1, B // 2))
+        # before the fork, this process takes every shard in turn, so that
+        # its own arrays are sized for one shard
+        shards = range(parts) if gang.size == 1 else [worker] if worker < parts else []
+        mine = workspace(worker)
+        for shard in shards:
+            lo, hi = B * shard // parts, B * (shard + 1) // parts
+            mine.rows, mine.batch_rows = slice(lo, hi), B
+            idx = batch[1 + lo : 1 + hi]
+            _, trace = forward_batch(x_all[idx], params, config, workspace=mine)
+            backward(trace, y_all[idx], params, config)
+
+    def reduce_pass(worker):
+        for task in tasks[worker :: gang.size]:
+            _reduce(task, workspace(worker), int(batch[0]), W, config)
+
+    def on_gang(idx):
+        batch[0] = len(idx)
+        batch[1 : 1 + len(idx)] = idx
+        gang.run(0)
+        loss = bce_loss(ws.array("logits", (len(idx), W)), y_all[idx])
+        gang.run(1)
+        update(grads)
+        if gang.size < count:
+            gang.fork(count)
+        return loss
+
     history: list[float] = []
     steps = 0
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        total = 0.0
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            logits, trace = forward_batch(x_all[idx], params, config, workspace=workspace)
-            loss = bce_loss(logits, y_all[idx])
-            grads = backward(trace, y_all[idx], params, config)
-            if config.optimizer == "adam":
-                params = adam_step(params, grads, state, config.learning_rate)
-            else:
-                params = gd_step(params, grads, config.learning_rate)
-            total += loss * len(idx)
-            steps += 1
-        history.append(total / n)
-    return TrainResult(params=params, loss_history=history, steps=steps)
+    with Gang([rows_pass, reduce_pass]) as gang:
+        step = on_gang if count > 1 else in_process
+        for _ in range(config.epochs):
+            order = shuffle_rng.permutation(n)
+            total = 0.0
+            for lo in range(0, n, config.batch_size):
+                idx = order[lo : lo + config.batch_size]
+                total += step(idx) * len(idx)
+                steps += 1
+            history.append(total / n)
+    return TrainResult(params={key: p.copy() for key, p in params.items()},
+                       loss_history=history, steps=steps)
 
 
 def infer(
@@ -606,10 +811,10 @@ def infer(
     windows cover into the first LSTM layer, the windows read those rows by
     index, and no backward trace is kept.
 
-    The batches are split into contiguous runs, one per ``pool.completed``
-    worker, which write their window scores into shared memory. A batch is
-    computed the same way wherever it runs, so the scores do not depend on
-    how many workers there were.
+    The batches are split into contiguous runs, one per worker when the
+    work pays for it (``pool.workers``), which write their window scores
+    into shared memory. A batch is computed the same way wherever it runs,
+    so the scores do not depend on how many workers there were.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
@@ -621,10 +826,10 @@ def infer(
     starts = window_starts(len(x), W, stride)
     h, _ = _embed(x, params, config, keep=False)
     weights = _lstm_weights(params, config) if config.use_tem else None
-    # an anonymous map is shared with forked workers: the rows they write land here
-    scores = np.frombuffer(mmap.mmap(-1, 8 * len(starts) * W), np.float64).reshape(-1, W)
+    # the rows that forked workers write land here
+    scores = shared_array((len(starts), W))
     batches = -(-len(starts) // batch_size)
-    parts = workers(batches)
+    parts = workers(batches, flop_estimate(config, W).total * len(starts))
     edges = [min(batch_size * (batches * k // parts), len(starts)) for k in range(parts + 1)]
     tasks = [(h, weights, params, config, starts[lo:hi], scores[lo:hi], batch_size)
              for lo, hi in zip(edges, edges[1:])]

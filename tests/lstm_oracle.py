@@ -177,7 +177,12 @@ def backward(trace: Trace, labels, params, config):
     if config.use_embedding:
         for layer in range(config.mlp_layers - 1, -1, -1):
             cache = trace.embed[layer]
-            dg, dgain, dbeta = stand._layernorm_backward(dh, cache, params[f"embed.{layer}.gain"])
+            dxhat = dh * params[f"embed.{layer}.gain"]
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * cache.xhat).mean(axis=-1, keepdims=True)
+            dg = cache.inv_std * (dxhat - m1 - cache.xhat * m2)
+            dgain = np.sum(dh * cache.xhat, axis=(0, 1))
+            dbeta = np.sum(dh, axis=(0, 1))
             da = dg * gelu_grad(cache.a)
             da_flat = da.reshape(-1, da.shape[-1])
             grads[f"embed.{layer}.w"] = da_flat.T @ cache.x.reshape(da_flat.shape[0], -1)

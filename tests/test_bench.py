@@ -1,6 +1,10 @@
 import json
 import os
+import signal
 import struct
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -329,6 +333,72 @@ class TestProcessPool:
                 assert len(calls) == 2 and all(pid != os.getpid() for pid, _, _ in calls)
                 assert [(tasks, workers) for _, tasks, workers in calls] == [(1, 1), (1, 1)]
         assert len(files[1]) == 4 + 3 and files[2] == files[1]
+
+    def test_importing_the_package_loads_no_pool(self):
+        code = ("import sys, standbench.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "[]"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
+    def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch):
+        # a grid worker that trained on a gang of its own would fork grandchildren
+        log = tmp_path / "train.txt"  # forked workers append to it too
+        real = stand.forward_batch
+
+        def logging(x, params, config, workspace=None):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {os.getppid()}\n")
+            return real(x, params, config, workspace=workspace)
+
+        monkeypatch.setattr(stand, "forward_batch", logging)
+        # anywhere else, a gang for any work
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
+        monkeypatch.setattr(pool, "blas_threads", lambda: 1)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        doc = {**small_config(tmp_path, seeds=(0, 1)).to_dict(), "detectors": [STAND]}
+        table, failures = bench.run_experiment(ExperimentConfig.from_dict(doc))
+        assert not failures and len(table.rows) == 2
+        calls = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
+        assert len({pid for pid, _ in calls}) == 2
+        assert {ppid for _, ppid in calls} == {os.getpid()}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
+    def test_dead_worker_exits_3_and_keeps_finished_groups(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        pids = tmp_path / "pids.txt"  # forked workers append to it
+        real = bench._compute_group
+
+        def dying(dataset_entry, cells, config):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if cells[0][-1] == 1:  # the seed-1 group dies once seed 0's cells are written
+                deadline = time.monotonic() + 30
+                while len(os.listdir(out / "cells")) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(9)
+            return real(dataset_entry, cells, config)
+
+        monkeypatch.setattr(bench, "_compute_group", dying)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("no result within 60 s"))
+        signal.alarm(60)
+        try:
+            detectors = [{"kind": "random"}, {"kind": "pca", "rank": 2}]
+            doc = {**small_config(tmp_path, detectors=detectors, seeds=(0, 1)).to_dict(),
+                   "output_dir": str(out)}
+            path = tmp_path / "grid.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["bench", "--config", str(path)]) == 3
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert "error: a worker died running task 1 of dying" in capsys.readouterr().err
+        assert len(os.listdir(out / "cells")) == 2 and not (out / "mini_results.json").exists()
+        for pid in {int(line) for line in pids.read_text().split()}:  # every worker reaped
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_worker_error_is_raised(self, tmp_path, monkeypatch, grid_path):
         def broken_fit(self, values, labels=None):

@@ -90,6 +90,7 @@ class TestReusedWorkspace:
         fused = stand.train(ws, cfg)
         monkeypatch.setattr(stand, "forward_batch", oracle.forward_batch)
         monkeypatch.setattr(stand, "backward", oracle.backward)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # the oracle knows no gang shards
         ref = stand.train(ws, cfg)
         assert fused.loss_history == ref.loss_history
         for key in ref.params:
@@ -185,6 +186,8 @@ class TestPooledInfer:
 
         monkeypatch.setattr(stand, "_score_windows", logging)
 
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)  # these series are too short to pool
+
         def scores(cpus):
             """The scores, and (first window, windows, pid) of each run of windows scored."""
             monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
@@ -205,6 +208,20 @@ class TestPooledInfer:
             ends = [first + n for first, n, _ in runs]
             assert [first for first, _, _ in runs] == [0] + ends[:-1]
             assert ends[-1] == len(starts) and all(end % batch_size == 0 for end in ends[:-1])
+
+
+class TestWorkRule:
+    def test_long_series_pool_unless_the_stride_leaves_too_little_work(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        cfg = acceptance_size_config()
+
+        def infer_workers(stride):  # as stand.infer decides on a held-out series of 18000 steps
+            windows = len(data.window_starts(18000, cfg.window, stride))
+            work = stand.flop_estimate(cfg, cfg.window).total * windows
+            return pool.workers(-(-windows // 256), work)
+
+        assert infer_workers(1) == infer_workers(4) == 2
+        assert infer_workers(16) == 1
 
 
 class TestReassembleOracle:

@@ -1,9 +1,13 @@
+import hashlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from instruments import calibrate_gd_learning_rate, timing_probe
-from standbench import data, stand
-from standbench.exceptions import ConfigError, ContractError
+from standbench import data, pool, stand
+from standbench.exceptions import ConfigError, ContractError, WorkerError
 from standbench.ndcore import make_rng, sigmoid
 
 
@@ -203,6 +207,154 @@ class TestTrain:
         assert len(history) == 101
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert eta > 0
+
+
+def train_digest(result) -> str:
+    """A hash of a training's loss history and of every parameter's bytes."""
+    digest = hashlib.sha256(np.array(result.loss_history).tobytes())
+    for key in sorted(result.params):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(result.params[key]).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def gang_windows(T, config, stride=2):
+    spec = data.SyntheticSpec(T=T, C=config.input_channels, seed=4, anomalies=(
+        {"kind": "spike", "start": T // 3, "duration": 5, "magnitude": 6.0},
+        {"kind": "level_shift", "start": T // 2, "duration": 9, "magnitude": 2.0}))
+    return data.make_windows(data.generate_synthetic(spec), config.window, stride)
+
+
+GANG_BASE = dict(input_channels=3, d_model=8, window=8, epochs=3, batch_size=16, seed=2)
+# name: (config, series length, stride, digest of the in-process training before
+# the gang existed). T=198 gives 96 windows (whole batches of 16), 218 gives 106
+# (a last batch of 10) and 200 gives 97 (a last batch of one window).
+GANG_CASES = {
+    "full": ({}, 198, 2, "09640c1d8b236664"),
+    "two_layers": (dict(tem_layers=2), 198, 2, "e26c1fad99a050d6"),
+    "unidirectional": (dict(bidirectional=False), 198, 2, "8e8c229fadcc3d4b"),
+    "no_tem": (dict(use_tem=False), 198, 2, "8de0c907b09bc75e"),
+    "no_embedding": (dict(use_embedding=False), 198, 2, "08cbdcea38344f68"),
+    "gd": (dict(optimizer="gd", learning_rate=0.05), 198, 2, "7575430dad79378e"),
+    "short_last_batch": ({}, 218, 2, "be9c74fdcd1f0835"),
+    "one_window_last_batch": ({}, 200, 2, "a0dcc1dd01d8498e"),
+    "batch_of_five": (dict(batch_size=5), 198, 2, "391dfbc6e131161d"),  # < 2 x 3 workers
+    "acceptance_size": (dict(input_channels=8, d_model=32, window=32, batch_size=128, seed=3),
+                        940, 3, "da76b0be0fe43956"),  # 304 windows: a last batch of 48
+}
+
+
+@pytest.fixture
+def logged_forward(tmp_path, monkeypatch):
+    """Log each forward_batch call's pid and rows; forked workers append too."""
+    log = tmp_path / "forward.txt"
+    real = stand.forward_batch
+
+    def logging(x, params, config, workspace=None):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()} {len(x)}\n")
+        return real(x, params, config, workspace=workspace)
+
+    monkeypatch.setattr(stand, "forward_batch", logging)
+    return log
+
+
+def logged_calls(log):
+    """(pid, parent pid, rows) of every logged call, emptying the log."""
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    log.unlink()
+    return calls
+
+
+@pytest.fixture
+def bounded():
+    """Fail a test that runs for more than a minute instead of hanging."""
+    def expire(*_):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Train as if BLAS ran one thread per process, as the benchmark sets it."""
+    monkeypatch.setattr(pool, "blas_threads", lambda: 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the training gang forks")
+@pytest.mark.usefixtures("one_blas_thread")
+class TestTrainingGang:
+    @pytest.mark.parametrize("name", sorted(GANG_CASES))
+    def test_bitwise_equal_for_any_worker_count(self, name, monkeypatch, logged_forward, bounded):
+        changes, T, stride, want = GANG_CASES[name]
+        cfg = stand.StandConfig(**{**GANG_BASE, **changes})
+        ws = gang_windows(T, cfg, stride)
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)  # a gang for any work
+        for cpus in (1, 2, 3):  # three workers on fewer cores too
+            monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            assert train_digest(stand.train(ws, cfg)) == want, cpus
+            calls = logged_calls(logged_forward)
+            assert sum(rows for _, _, rows in calls) == len(ws) * cfg.epochs
+            assert all(rows >= 2 or rows == len(ws) % cfg.batch_size for _, _, rows in calls)
+            # this process is worker 0; the others are its forked children
+            pids = {pid for pid, _, _ in calls}
+            assert os.getpid() in pids
+            assert len(pids) == min(cpus, cfg.batch_size // 2)
+            assert {ppid for pid, ppid, _ in calls if pid != os.getpid()} <= {os.getpid()}
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_small_work_or_threaded_blas_trains_in_process(self, threads, monkeypatch,
+                                                           logged_forward):
+        cfg = stand.StandConfig(**GANG_BASE)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        if threads > 1:  # then even work that would pay for a gang stays here
+            monkeypatch.setattr(pool, "blas_threads", lambda: threads)
+            monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
+        assert train_digest(stand.train(gang_windows(198, cfg), cfg)) == GANG_CASES["full"][-1]
+        assert {pid for pid, _, _ in logged_calls(logged_forward)} == {os.getpid()}
+
+    @pytest.mark.parametrize("death", ["exit", "raise"])
+    def test_dead_worker_is_an_error_and_leaves_no_child(self, death, monkeypatch, logged_forward,
+                                                         bounded):
+        cfg = stand.StandConfig(**GANG_BASE)
+        parent, calls = os.getpid(), []
+        logging = stand.forward_batch
+
+        def dying(x, params, config, workspace=None):
+            if os.getpid() != parent:  # a worker dies in its second step
+                calls.append(len(x))
+            if len(calls) == 2:
+                if death == "exit":
+                    os._exit(7)
+                raise RuntimeError("worker lost")
+            return logging(x, params, config, workspace=workspace)
+
+        monkeypatch.setattr(stand, "forward_batch", dying)
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
+        what = "died" if death == "exit" else "failed: RuntimeError: worker lost"
+        with pytest.raises(WorkerError, match=f"gang worker [12] {what} in phase rows_pass"):
+            stand.train(gang_windows(198, cfg), cfg)
+        workers = {pid for pid, _, _ in logged_calls(logged_forward)} - {parent}
+        assert len(workers) == 2
+        for pid in workers:  # stopped and reaped: not even a zombie is left
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def test_blas_threads_read_like_openblas(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 4)
+    assert pool.blas_threads() == 4
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert pool.blas_threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pool.blas_threads() == 1
 
 
 class TestInfer:
