@@ -258,10 +258,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
 
     Uncached cells are computed in groups of one (dataset, run seed), so each
     series is materialized once. Several groups run on ``pool.completed``'s
-    forked workers, one per usable CPU at most: forked workers inherit this
-    process's modules and numeric setup, so a cell gets the same bits in
-    either place. Only this process writes files: each group's cells as soon
-    as the group finishes, then the tables with their rows in config order.
+    forked workers, one per usable CPU at most, which take them one at a
+    time: forked workers inherit this process's modules and numeric setup,
+    so a cell gets the same bits in either place. This process computes no
+    group; it alone writes files: each group's cells as soon as the group
+    finishes, then the tables with their rows in config order.
     """
     os.makedirs(os.path.join(config.output_dir, "cells"), exist_ok=True)
     paths = []  # every cell's file, in config order

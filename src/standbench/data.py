@@ -1,13 +1,14 @@
 """Dataset model, CSV ingestion, labeled-prefix splitting, windowing, synthetic data.
 
 Datasets are immutable after construction: every transform returns a new
-instance, so concurrent readers never need locks.
+instance, so readers that share one never need locks.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,18 +307,21 @@ def _bulk_cells(path: str, width: int) -> np.ndarray | None:
 
 
 def write_csv(ds: TimeSeriesDataset, path, label_column: str = "label") -> None:
-    """Inverse of :func:`load_csv`; floats are written with full repr precision."""
+    """Inverse of :func:`load_csv`; floats are written with full repr precision.
+
+    The bytes are what ``csv.writer`` writes: a float's repr or a 0/1 label
+    never needs quoting, so only the header goes through it. Rows are
+    formatted 128 at a time: the text of 1024 rows at once left the heap of
+    a process that wrote a 20000-row series 0.5 MB larger."""
     with open(os.fspath(path), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         header = [f"ch{j}" for j in range(ds.channels)]
-        if ds.labeled:
-            header.append(label_column)
-        writer.writerow(header)
-        for t in range(ds.length):
-            row = [repr(float(v)) for v in ds.values[t]]
+        csv.writer(fh).writerow(header + [label_column] if ds.labeled else header)
+        for lo in range(0, ds.length, 128):
+            block = slice(lo, lo + 128)
+            rows = [",".join(map(repr, row)) for row in ds.values[block].tolist()]
             if ds.labeled:
-                row.append(str(int(ds.labels[t])))
-            writer.writerow(row)
+                rows = [f"{row},{label}" for row, label in zip(rows, ds.labels[block].tolist())]
+            fh.write("\r\n".join(rows) + "\r\n")
 
 
 def split_allowed(labels: np.ndarray, t: int) -> bool:
@@ -440,20 +444,14 @@ def generate_synthetic(spec: SyntheticSpec) -> TimeSeriesDataset:
     for ev in spec.anomalies:
         if ev.kind == "variance_burst":
             shared_scale[ev.start : ev.start + ev.duration] *= ev.magnitude
-    shared_innov = rng.standard_normal(T) * shared_scale
     shared = np.empty(T)
-    level = 0.0
-    for i in range(T):
-        level = spec.ar_coeff * level + shared_innov[i]
-        shared[i] = level
+    _ar1(rng.standard_normal(T) * shared_scale, spec.ar_coeff, shared)
     # Weaker per-channel AR(1) noise on top of the shared factor.
     chan_innov = rng.standard_normal((T, C)) * (0.5 * spec.noise_scale)
-    chan_noise = np.empty((T, C))
-    prev = np.zeros(C)
-    for i in range(T):
-        prev = spec.ar_coeff * prev + chan_innov[i]
-        chan_noise[i] = prev
-    values = base + shared[:, None] + chan_noise
+    chan_noise = np.empty((C, T))
+    for j in range(C):
+        _ar1(chan_innov[:, j], spec.ar_coeff, chan_noise[j])
+    values = base + shared[:, None] + chan_noise.T
 
     labels = np.zeros(T, dtype=np.int64)
     for ev in spec.anomalies:
@@ -467,3 +465,14 @@ def generate_synthetic(spec: SyntheticSpec) -> TimeSeriesDataset:
         elif ev.kind == "level_shift":
             values[sl] += ev.magnitude
     return TimeSeriesDataset(name=spec.name, values=values, labels=labels)
+
+
+def _ar1(innovations: np.ndarray, coeff: float, out: np.ndarray) -> None:
+    """Write the AR(1) path level = coeff * level + innovation from level 0
+    into the contiguous ``out``, on Python floats: the same multiply and add,
+    rounded the same way, as on numpy scalars or arrays, without a numpy call
+    per step, and without a float object kept per step."""
+    level, path = 0.0, memoryview(out)
+    for step, innovation in enumerate(array("d", innovations.tobytes())):
+        level = coeff * level + innovation
+        path[step] = level

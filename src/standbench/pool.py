@@ -1,32 +1,46 @@
-"""Forked workers, one per usable CPU: a pool for independent tasks and a gang
-for lockstep phases. This is the one module that forks.
+"""Forked workers, one per usable CPU, as a gang that runs phases together.
+This is the one module that forks.
 
 Workers are forked, so they inherit this process's modules, arrays and
-numeric setup, and a task computes the same bits wherever it runs. The
-function and its tasks reach each worker through the fork, not a pickle;
-only a task's index goes to a worker and only its return value comes back.
-A caller hands large outputs back by writing them into ``shared_array``s
-made before the fork. The pool forks its workers before it starts its own
-manager thread, and standbench starts no other thread.
+numeric setup, and a task computes the same bits wherever it runs. A phase
+and its tasks reach each worker through the fork, not a pickle: only a
+phase's number goes to a worker, and only what a worker ``send``s comes back,
+pickled over its pipe. A caller hands large outputs back by writing them
+into ``shared_array``s made before the fork. standbench starts no thread, so
+forking is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
+import pickle
+import select
 import signal
 
 import numpy as np
 
 from .exceptions import WorkerError
 
-_job = None  # in a worker, what it works for: a pool's (fn, tasks) or a Gang
+_job = None  # in a forked worker, the Gang it works for
 
 # The work (``stand.flop_estimate`` flops) that each worker must be given to
-# pay for starting it. Timed in alternation on one 2-core machine, a pooled
-# ``stand.infer`` (d=32, T=18000) lost to an in-process one up to about 9e8
-# of work (stride 11 or more) and won from about 1.1e9 (stride 9 or less).
-WORK_PER_WORKER = 5e8
+# pay for starting it, with one BLAS thread per process. Timed in alternation
+# on one 2-core machine, a two-worker ``stand.infer`` (d=32) lost to an
+# in-process one at 7.5e7 of work, broke even at 1.5e8 and won from 3e8.
+WORK_PER_WORKER = 1e8
+# How many times that work a worker needs when BLAS runs several threads in
+# each process, whose threads then share the cores: there a two-worker
+# ``infer`` (d=32, T=18000) won from 2.4e9 of work (stride 4 or less), broke
+# even at 1.6e9-1.9e9 and took twice as long at 1.2e9 (stride 8).
+THREADED_BLAS_WORK = 10
+
+# What a worker's frame to this process holds: a value it sent, the end of
+# its phase, or the failure that ended its phase.
+_VALUE, _DONE, _FAILED = range(3)
+# Past any task count: a queue that reads this is empty.
+_HALTED = 2**62
 
 
 def usable_cpus() -> int:
@@ -45,7 +59,10 @@ def workers(tasks: int, work: float | None = None) -> int:
     if tasks < 2 or not hasattr(os, "fork") or _job is not None:
         return 1
     count = min(tasks, usable_cpus())
-    return count if work is None else max(1, min(count, int(work // WORK_PER_WORKER)))
+    if work is None:
+        return count
+    per_worker = WORK_PER_WORKER * (1 if blas_threads() == 1 else THREADED_BLAS_WORK)
+    return max(1, min(count, int(work // per_worker)))
 
 
 def blas_threads() -> int:
@@ -69,60 +86,58 @@ def shared_array(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buffer, dtype)[:count].reshape(shape)
 
 
-def _start_worker(fn, tasks) -> None:
-    global _job
-    _job = (fn, tasks)
-
-
-def _run(index: int):
-    fn, tasks = _job
-    return fn(*tasks[index])
-
-
 def completed(fn, tasks: list):
     """Yield (index, fn(*tasks[index])) for every task, as each finishes, on
-    ``workers(len(tasks))`` workers.
+    ``workers(len(tasks))`` forked workers that deal the tasks among
+    themselves. This process computes none of them: it only collects.
 
-    An exception from a task is raised here after the pool has shut down,
-    and no task that has not started yet runs after it. A worker that dies
-    raises ``WorkerError``.
+    An exception from a task is raised here with its own type, and no task
+    starts after it. A worker that dies raises ``WorkerError`` naming its
+    task. Every worker is stopped and reaped before this returns or raises.
     """
     count = workers(len(tasks))
     if count == 1:
         for index, task in enumerate(tasks):
             yield index, fn(*task)
         return
-    # imported here, so that importing the package does not pay for a pool
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
 
-    with ProcessPoolExecutor(count, mp_context=get_context("fork"), initializer=_start_worker,
-                             initargs=(fn, tasks)) as pool:
-        futures = {pool.submit(_run, index): index for index in range(len(tasks))}
-        try:
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    raise WorkerError(f"a worker died running task {futures[future]} of "
-                                      f"{fn.__name__}") from None
-                yield futures[future], result
-        finally:  # after an error or an interrupt, start no further task
-            pool.shutdown(cancel_futures=True)
+    @functools.wraps(fn)  # a dead worker's error names fn
+    def deal(worker):
+        for index in gang.deal(worker, len(tasks)):
+            try:
+                result = fn(*tasks[index])
+            except Exception as exc:
+                gang.halt()
+                gang.send((index, None, exc))
+                return
+            gang.send((index, result, None))
+
+    with Gang([deal]) as gang:
+        gang.fork(count + 1)  # this process is worker 0, which takes no task
+        for index, result, error in gang.collect(0):
+            if error is not None:
+                raise error
+            yield index, result
 
 
 class Gang:
     """This process as worker 0 and ``count - 1`` forked workers that run
     each phase together: ``run(phase)`` calls ``phases[phase](worker)`` on
-    every worker and returns when all have finished it.
+    every worker and returns when all have finished it; ``collect(phase)``
+    calls it on the forked workers only and yields what they ``send``, as it
+    arrives.
+
+    A phase splits its work by worker number, or takes tasks one at a time
+    from ``deal``, a queue that every worker of the phase shares, so a
+    worker that another process slows down simply takes fewer.
 
     ``fork`` starts the workers; until then ``run`` calls this process's
     share alone. Workers see what this process wrote into ``shared_array``s
-    before it starts a phase, and it sees what they wrote once ``run``
-    returns: one pipe byte to each worker and one back orders each phase.
-    A worker that dies or raises ends ``run`` with ``WorkerError`` naming
-    the phase; leaving the ``with`` block stops and reaps every worker.
+    before it starts a phase, and it sees what they wrote once the phase
+    ends: one pipe byte to each worker starts a phase, and a frame back ends
+    it. A worker that dies or raises ends the phase with ``WorkerError``
+    naming the phase, or the task it died on; leaving the ``with`` block
+    stops and reaps every worker.
     """
 
     @staticmethod
@@ -138,6 +153,9 @@ class Gang:
         self.phases = phases
         self.size = 1  # workers, this process included
         self._workers = []  # (pid, pipe to it, pipe from it)
+        self._queue = None  # the next task to deal, then each worker's current task
+        self._token = None  # a pipe holding one byte: who reads it may take a task
+        self._reply = None  # in a forked worker, its pipe to this process
 
     def __enter__(self) -> "Gang":
         return self
@@ -148,6 +166,9 @@ class Gang:
     def fork(self, count: int) -> None:
         """Start ``count - 1`` workers, after which every phase runs on all ``count``."""
         self.size = count
+        self._queue = shared_array(count + 1, np.int64)
+        self._token = os.pipe()
+        os.write(self._token[1], b"\0")
         pipes = [(os.pipe(), os.pipe()) for _ in range(count - 1)]
         ends = {fd for pair in pipes for both in pair for fd in both}
         try:
@@ -158,39 +179,108 @@ class Gang:
                     _job = self
                     for fd in ends - {go_read, done_write}:
                         os.close(fd)
-                    self._work(worker, go_read, done_write)
+                    self._reply = done_write
+                    self._work(worker, go_read)
                 self._workers.append((pid, go_write, done_read))
         finally:  # this process keeps only its ends of the started workers' pipes
             for fd in ends - {fd for _, go, done in self._workers for fd in (go, done)}:
                 os.close(fd)
 
-    def _work(self, worker: int, go, done) -> None:
+    def deal(self, worker: int, tasks: int):
+        """Yield ``worker``'s next task index below ``tasks`` until the queue
+        that every worker of this phase shares is empty. A shared counter
+        behind the token byte deals them, so any number of tasks fits."""
+        if self._queue is None:  # not forked: this process takes every task
+            yield from range(tasks)
+            return
+        while (index := self._take()) < tasks:
+            self._queue[1 + worker] = index
+            yield index
+            self._queue[1 + worker] = -1
+
+    def halt(self) -> None:
+        """Empty the queue: no worker takes a task after this."""
+        if self._queue is not None:
+            self._take(halt=True)
+
+    def _take(self, halt: bool = False) -> int:
+        """The queue's next index, which this takes, or past its end with ``halt``."""
+        os.read(self._token[0], 1)
+        try:
+            index = int(self._queue[0])
+            self._queue[0] = _HALTED if halt else index + 1
+        finally:  # an interrupted worker must not keep the token from the others
+            os.write(self._token[1], b"\0")
+        return index
+
+    def send(self, value) -> None:
+        """From a forked worker, hand ``value`` to this process's ``collect``."""
+        _write_frame(self._reply, (_VALUE, value))
+
+    def _work(self, worker: int, go) -> None:
         code = 0
         try:
             while phase := os.read(go, 1):
                 try:
                     self.phases[phase[0]](worker)
                 except BaseException as exc:
-                    os.write(done, b"E" + f"{type(exc).__name__}: {exc}".encode()[:4000])
+                    self.halt()
+                    _write_frame(self._reply, (_FAILED, f"{type(exc).__name__}: {exc}"))
                     code = 1
                     break
-                os.write(done, b"\0")
+                _write_frame(self._reply, (_DONE, None))
         finally:
             os._exit(code)
 
     def run(self, phase: int) -> None:
-        name = self.phases[phase].__name__
+        """Run ``phase`` on every worker, this process included."""
+        self._start(phase)
+        self.phases[phase](0)
+        for _ in self._replies(phase):
+            pass
+
+    def collect(self, phase: int):
+        """Run ``phase`` on the forked workers only and yield what they send."""
+        self._start(phase)
+        yield from self._replies(phase)
+
+    def _start(self, phase: int) -> None:
+        if self._queue is not None:
+            self._queue[0] = 0
+            self._queue[1:] = -1
         for worker, (_, go, _) in enumerate(self._workers, 1):
             try:
                 os.write(go, bytes([phase]))
             except BrokenPipeError:
+                name = self.phases[phase].__name__
                 raise WorkerError(f"gang worker {worker} died before phase {name}") from None
-        self.phases[phase](0)
-        for worker, (_, _, done) in enumerate(self._workers, 1):
-            reply = os.read(done, 4096)
-            if reply != b"\0":
-                what = "failed: " + reply[1:].decode(errors="replace") if reply else "died"
-                raise WorkerError(f"gang worker {worker} {what} in phase {name}")
+
+    def _replies(self, phase: int):
+        """Yield the values the forked workers send, as they arrive, until
+        each has ended ``phase``. Every worker's pipe is drained as it fills,
+        so a worker blocked on a full pipe never waits for another."""
+        name = self.phases[phase].__name__
+        pending = {done: worker for worker, (_, _, done) in enumerate(self._workers, 1)}
+        poller = select.poll()
+        for done in pending:
+            poller.register(done, select.POLLIN)
+        while pending:
+            for fd, _ in poller.poll():
+                worker = pending[fd]
+                frame = _read_frame(fd)
+                if frame is None:
+                    task = int(self._queue[1 + worker])
+                    if task >= 0:
+                        raise WorkerError(f"a worker died running task {task} of {name}")
+                    raise WorkerError(f"gang worker {worker} died in phase {name}")
+                kind, value = frame
+                if kind == _VALUE:
+                    yield value
+                elif kind == _FAILED:
+                    raise WorkerError(f"gang worker {worker} failed: {value} in phase {name}")
+                else:
+                    poller.unregister(fd)
+                    del pending[fd]
 
     def close(self, kill: bool = False) -> None:
         """Stop every worker (at once with ``kill``, else after its phase) and reap it."""
@@ -201,5 +291,33 @@ class Gang:
             os.close(done)
         for pid, _, _ in self._workers:
             os.waitpid(pid, 0)
-        self._workers = []
+        for fd in self._token or ():
+            os.close(fd)
+        self._workers, self._token = [], None
         self.phases = []  # phases that refer to the gang would keep it and their arrays alive
+
+
+def _write_frame(fd: int, value) -> None:
+    """Write ``value`` pickled, after its length, whatever the pipe holds at once."""
+    data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_frame(fd: int):
+    """The value of the next frame on ``fd``, or None at the end of the pipe."""
+    header = _read(fd, 8)
+    data = header and _read(fd, int.from_bytes(header, "little"))
+    return None if data is None else pickle.loads(data)
+
+
+def _read(fd: int, size: int) -> bytes | None:
+    chunks = []
+    while size:
+        chunk = os.read(fd, min(size, 1 << 20))
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)

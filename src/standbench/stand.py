@@ -25,7 +25,7 @@ import numpy as np
 from .data import WindowSet, reassemble, window_starts
 from .exceptions import ConfigError, ContractError, config_bool, config_float, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
-from .pool import Gang, completed, shared_array, workers
+from .pool import Gang, shared_array, workers
 
 LAYERNORM_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -801,7 +801,7 @@ def infer(
     params: dict[str, np.ndarray],
     config: StandConfig,
     stride: int | None = None,
-    batch_size: int = 256,
+    batch_size: int = 128,
 ) -> np.ndarray:
     """Score a full (T, C) series: windowed forward, logits averaged per timestep.
 
@@ -811,10 +811,12 @@ def infer(
     windows cover into the first LSTM layer, the windows read those rows by
     index, and no backward trace is kept.
 
-    The batches are split into contiguous runs, one per worker when the
-    work pays for it (``pool.workers``), which write their window scores
-    into shared memory. A batch is computed the same way wherever it runs,
-    so the scores do not depend on how many workers there were.
+    When the work pays for it (``pool.workers``), this runs on a
+    ``pool.Gang`` with this process as worker 0: the workers embed the
+    series in contiguous parts of rows, then deal the window batches among
+    themselves and write their scores into shared memory. A row and a batch
+    are computed the same way wherever they run, so the scores do not depend
+    on how many workers there were.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
@@ -824,54 +826,85 @@ def infer(
     W = config.window
     stride = stride if stride is not None else max(1, W // 2)
     starts = window_starts(len(x), W, stride)
-    h, _ = _embed(x, params, config, keep=False)
-    weights = _lstm_weights(params, config) if config.use_tem else None
-    # the rows that forked workers write land here
-    scores = shared_array((len(starts), W))
     batches = -(-len(starts) // batch_size)
-    parts = workers(batches, flop_estimate(config, W).total * len(starts))
-    edges = [min(batch_size * (batches * k // parts), len(starts)) for k in range(parts + 1)]
-    tasks = [(h, weights, params, config, starts[lo:hi], scores[lo:hi], batch_size)
-             for lo, hi in zip(edges, edges[1:])]
-    for _ in completed(_score_windows, tasks):
-        pass
+    count = workers(batches, flop_estimate(config, W).total * len(starts))
+    parts = _embed_parts(len(x), count, config)
+    # the rows and scores that forked workers write land in shared memory
+    h = shared_array((len(x), config.embed_width)) if parts > 1 else \
+        _embed(x, params, config, keep=False)[0]
+    weights = _lstm_weights(params, config) if config.use_tem else None
+    scores = shared_array((len(starts), W))
+
+    def embed_part(worker):
+        if worker < parts:
+            lo, hi = len(x) * worker // parts, len(x) * (worker + 1) // parts
+            h[lo:hi] = _embed(x[lo:hi], params, config, keep=False)[0]
+
+    def score_batches(worker):
+        workspace = _Workspace()  # one per worker, reused by each batch it takes
+        for batch in gang.deal(worker, batches):
+            lo = batch * batch_size
+            _score_batch(h, weights, params, config, starts[lo : lo + batch_size],
+                         scores[lo : lo + batch_size], workspace)
+
+    with Gang([embed_part, score_batches]) as gang:
+        if count > 1:
+            gang.fork(count)
+        if parts > 1:
+            gang.run(0)
+        gang.run(1)
     ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
                    values=None, labels=None)
     return reassemble(ws, scores)
 
 
-def _score_windows(h, weights, params, config: StandConfig, starts, out, batch_size: int) -> None:
-    """Write the logits of the windows at ``starts`` of the embedded series h
-    into ``out`` (len(starts), W), batch by batch; ``weights`` comes from
+# The fewest rows a forked worker embeds. ``_embed_layer_forward`` multiplies
+# by the transposed ``w.T``, and this OpenBLAS rounds that product's rows one
+# way for small matrices and another for large ones: at d_model 32 a block of
+# 37 rows or fewer differs in its last bits from the same rows inside a
+# whole-series product, and at d_model 2 one of up to 600 rows does. 1024
+# rows is well clear of both, so every part embeds its rows as the
+# whole-series pass does.
+EMBED_ROWS = 1024
+
+
+def _embed_parts(T: int, count: int, config: StandConfig) -> int:
+    """Into how many contiguous parts ``count`` workers split the embedding
+    of T rows: at least ``EMBED_ROWS`` each, and one when d_model is 1,
+    whose products are matrix-vector ones that round by the rows' position."""
+    if not config.use_embedding or config.d_model < 2:
+        return 1
+    return max(1, min(count, T // EMBED_ROWS))
+
+
+def _score_batch(h, weights, params, config: StandConfig, starts, out, workspace) -> None:
+    """Write the logits of the windows at ``starts`` (ascending) of the
+    embedded series h into ``out`` (len(starts), W); ``weights`` comes from
     ``_lstm_weights``, or is None without the temporal encoder."""
     W = config.window
+    n = len(starts)
+    if n == 1:
+        # one window would send the recurrent product to a matrix-vector
+        # kernel that rounds unlike the GEMM of larger batches: run it twice
+        starts = np.repeat(starts, 2)
     if weights is not None:
+        # the rows the windows cover, at least W >= 2 of them: a GEMM of two
+        # or more rows gives each row the bits of a whole-series projection,
+        # so no score depends on batch_size, and the buffer is bounded by the
+        # batch, not the series
         D, d = len(config.directions), config.d_model
         w_ih, _, b = weights[0]
-        workspace = _Workspace()
-    for lo in range(0, len(starts), batch_size):
-        batch = starts[lo : lo + batch_size]
-        n = len(batch)
-        if n == 1:
-            # one window would send the recurrent product to a matrix-vector
-            # kernel that rounds unlike the GEMM of larger batches: run it twice
-            batch = np.repeat(batch, 2)
-        if weights is not None:
-            # the rows the (ascending) windows cover, at least W >= 2 of them: a
-            # GEMM of two or more rows gives each row the bits of a whole-series
-            # projection, so no score depends on batch_size, and the buffer is
-            # bounded by the batch, not the series
-            first, span = batch[0], batch[-1] + W - batch[0]
-            proj = workspace.array("infer.proj", (4, D, span, d))
-            np.matmul(h[first : first + span], w_ih, out=proj)
-            proj += b
-            h_enc, _ = _lstm_stack(None, weights, config, workspace, keep=False,
-                                   proj=proj.reshape(4, D * span, d),
-                                   rows=_step_rows(W, D, batch - first, span))
-        else:
-            h_enc = h[batch[:, None] + np.arange(W)]
-        # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
-        out[lo : lo + n] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
+        first, span = starts[0], starts[-1] + W - starts[0]
+        proj = workspace.array("infer.proj", (4, D, span, d))
+        np.matmul(h[first : first + span], w_ih, out=proj)
+        proj += b
+        h_enc, _ = _lstm_stack(None, weights, config, workspace, keep=False,
+                               proj=proj.reshape(4, D * span, d),
+                               rows=_step_rows(W, D, starts - first, span))
+    else:
+        h_enc = h[starts[:, None] + np.arange(W)]
+    # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping
+    out[:] = (h_enc @ params["head.w"] + params["head.b"][0])[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -306,16 +306,22 @@ class TestProcessPool:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
     def test_stand_cells_score_in_process_inside_workers(self, tmp_path, monkeypatch):
-        # a pool worker that scored on a pool of its own would fork grandchildren
+        # a grid worker that scored on a gang of its own would fork grandchildren
         log = tmp_path / "infer.txt"  # forked workers append to it too
-        real = stand.completed
+        real_score, real_fork = stand._score_batch, pool.Gang.fork
 
-        def recording(fn, tasks):
+        def scoring(*args):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {len(tasks)} {pool.workers(2)}\n")
-            return real(fn, tasks)
+                fh.write(f"score {os.getpid()} {os.getppid()} {pool.workers(2)}\n")
+            real_score(*args)
 
-        monkeypatch.setattr(stand, "completed", recording)
+        def forking(gang, count):
+            with open(log, "a") as fh:
+                fh.write(f"fork {os.getpid()} {os.getppid()} {count}\n")
+            real_fork(gang, count)
+
+        monkeypatch.setattr(stand, "_score_batch", scoring)
+        monkeypatch.setattr(pool.Gang, "fork", forking)
         files = {}
         for cpus in (2, 1):
             monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
@@ -328,18 +334,45 @@ class TestProcessPool:
             files[cpus] = {os.path.relpath(os.path.join(root, name), out):
                            open(os.path.join(root, name), "rb").read()
                            for root, _, names in os.walk(out) for name in names}
-            if cpus == 2:  # both stand cells scored in a worker, on one in-process task
-                calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-                assert len(calls) == 2 and all(pid != os.getpid() for pid, _, _ in calls)
-                assert [(tasks, workers) for _, tasks, workers in calls] == [(1, 1), (1, 1)]
+            if cpus == 2:
+                calls = [line.split() for line in log.read_text().splitlines()]
+                # one gang, forked here for the grid: no worker forked again
+                assert [(kind, int(pid), int(count)) for kind, pid, _, count in calls
+                        if kind == "fork"] == [("fork", os.getpid(), 3)]
+                # every batch scored in a grid worker, in-process there
+                scored = [tuple(map(int, rest)) for kind, *rest in calls if kind == "score"]
+                assert len(scored) > 2
+                assert all(pid != os.getpid() and ppid == os.getpid() and workers == 1
+                           for pid, ppid, workers in scored)
+                log.unlink()
         assert len(files[1]) == 4 + 3 and files[2] == files[1]
 
-    def test_importing_the_package_loads_no_pool(self):
+    def test_importing_the_package_loads_no_pool(self, tmp_path):
         code = ("import sys, standbench.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
         assert out.strip() == "[]"
+        # nor does pooling: the gang is made of os.fork and pipes
+        code = """if True:
+            import json, sys
+            import numpy as np
+            from standbench import bench, pool, stand
+            forks, real = [], pool.Gang.fork
+            pool.Gang.fork = lambda gang, count: (forks.append(count), real(gang, count))[1]
+            pool.usable_cpus, pool.blas_threads = (lambda: 2), (lambda: 1)
+            pool.WORK_PER_WORKER = 1e-9
+            cfg = stand.StandConfig(input_channels=2, d_model=4, window=8)
+            stand.infer(np.zeros((3000, 2)), stand.init_params(cfg), cfg, stride=1)
+            bench.run_experiment(bench.ExperimentConfig.from_dict(json.loads(sys.argv[1])))
+            print(forks, sorted(m for m in sys.modules
+                                if m.split('.')[0] in ('multiprocessing', 'concurrent')))
+        """
+        grid = small_config(tmp_path, detectors=[{"kind": "random"}], seeds=(0, 1)).to_dict()
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(grid)], capture_output=True,
+                             text=True, check=True).stdout
+        # an infer gang, then a grid's two workers and this process collecting
+        assert out.strip() == ("[2, 3] []" if hasattr(os, "fork") else "[] []")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
     def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch):

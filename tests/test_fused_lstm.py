@@ -2,6 +2,7 @@
 against the per-direction and window-by-window references in lstm_oracle."""
 
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,13 +163,37 @@ POOLED_CASES = [
 ]
 
 
+@pytest.fixture
+def logged_batches(tmp_path, monkeypatch):
+    """Log (first window, windows, pid, parent pid) of every batch infer
+    scores; forked workers append too."""
+    log = tmp_path / "batches.txt"
+    real = stand._score_batch
+
+    def logging(h, weights, params, config, starts, out, workspace):
+        with open(log, "a") as fh:
+            fh.write(f"{starts[0]} {len(starts)} {os.getpid()} {os.getppid()}\n")
+        real(h, weights, params, config, starts, out, workspace)
+
+    monkeypatch.setattr(stand, "_score_batch", logging)
+
+    def batches(starts):
+        """The logged batches as (first window index, windows, pid, parent pid), emptying the log."""
+        got = sorted((int(np.searchsorted(starts, first)), n, pid, ppid) for first, n, pid, ppid
+                     in (map(int, line.split()) for line in log.read_text().splitlines()))
+        log.unlink()
+        return got
+
+    return batches
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="infer pools only where os.fork exists")
 class TestPooledInfer:
-    """infer's batches, split across forked workers, give the in-process scores bit for bit."""
+    """infer's batches, dealt to a gang of forked workers, give the in-process scores bit for bit."""
 
     @pytest.mark.parametrize("name", ["full", "no_tem", "unidirectional"])
     @pytest.mark.parametrize("T, stride, batch_size, last", POOLED_CASES)
-    def test_bitwise_equal_to_in_process(self, tmp_path, monkeypatch, name, T, stride,
+    def test_bitwise_equal_to_in_process(self, monkeypatch, logged_batches, name, T, stride,
                                          batch_size, last):
         cfg = stand.StandConfig(input_channels=3, d_model=8, window=16, seed=2,
                                 **CONFIGS[name])
@@ -176,52 +201,102 @@ class TestPooledInfer:
         x = make_rng(11).standard_normal((T, 3))
         starts = data.window_starts(T, cfg.window, stride)
         assert len(starts) % batch_size == last
-        log = tmp_path / "workers.txt"  # forked workers append to it too
-        real = stand._score_windows
-
-        def logging(h, weights, params, config, starts, out, batch_size):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {starts[0]} {len(starts)}\n")
-            real(h, weights, params, config, starts, out, batch_size)
-
-        monkeypatch.setattr(stand, "_score_windows", logging)
-
+        batches = -(-len(starts) // batch_size)
         monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)  # these series are too short to pool
+        monkeypatch.setattr(pool, "blas_threads", lambda: 1)
 
         def scores(cpus):
-            """The scores, and (first window, windows, pid) of each run of windows scored."""
             monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-            log.unlink(missing_ok=True)
-            got = stand.infer(x, params, cfg, stride=stride, batch_size=batch_size)
-            return got, sorted((int(np.searchsorted(starts, int(first))), int(n), int(pid))
-                               for pid, first, n in map(str.split, log.read_text().splitlines()))
+            return stand.infer(x, params, cfg, stride=stride, batch_size=batch_size)
 
-        want, runs = scores(1)
-        assert runs == [(0, len(starts), os.getpid())]
+        want = scores(1)
+        assert logged_batches(starts) == [
+            (lo, min(batch_size, len(starts) - lo), os.getpid(), os.getppid())
+            for lo in range(0, len(starts), batch_size)]
         for cpus in (2, 3):
-            got, runs = scores(cpus)
-            assert got.tobytes() == want.tobytes()
-            # one task per CPU at most, each a contiguous run of whole batches, all
-            # scored in forked workers
-            assert len(runs) == min(cpus, -(-len(starts) // batch_size))
-            assert os.getpid() not in {pid for _, _, pid in runs}
-            ends = [first + n for first, n, _ in runs]
-            assert [first for first, _, _ in runs] == [0] + ends[:-1]
-            assert ends[-1] == len(starts) and all(end % batch_size == 0 for end in ends[:-1])
+            assert scores(cpus).tobytes() == want.tobytes()
+            # every batch scored once, whole, by this process or a forked child of it
+            runs = logged_batches(starts)
+            assert [(lo, n) for lo, n, _, _ in runs] == [
+                (lo, min(batch_size, len(starts) - lo)) for lo in range(0, len(starts), batch_size)]
+            pids = {pid for _, _, pid, _ in runs}
+            assert len(pids) <= min(cpus, batches)
+            assert all(ppid == os.getpid() for _, _, pid, ppid in runs if pid != os.getpid())
+
+    def test_a_slowed_worker_takes_fewer_batches(self, monkeypatch, logged_batches):
+        # the forked worker sleeps before each batch: this process deals itself the rest
+        cfg = acceptance_size_config(d_model=8)
+        params = stand.init_params(cfg)
+        x = make_rng(12).standard_normal((400, cfg.input_channels))
+        starts = data.window_starts(len(x), cfg.window, 1)
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
+        monkeypatch.setattr(pool, "blas_threads", lambda: 1)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)
+        want = stand.infer(x, params, cfg, stride=1, batch_size=8)
+        logged_batches(starts)
+        parent, logging = os.getpid(), stand._score_batch
+
+        def slowed(*args):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            logging(*args)
+
+        monkeypatch.setattr(stand, "_score_batch", slowed)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        assert stand.infer(x, params, cfg, stride=1, batch_size=8).tobytes() == want.tobytes()
+        runs = logged_batches(starts)
+        assert sorted(lo for lo, _, _, _ in runs) == list(range(0, len(starts), 8))
+        mine = sum(pid == parent for _, _, pid, _ in runs)
+        assert mine > len(runs) - mine  # 47 batches: the child sleeps 50 ms before each of its own
+
+
+class TestEmbeddingParts:
+    """infer's workers embed contiguous parts of at least EMBED_ROWS rows, each
+    as the whole-series pass embeds them."""
+
+    @pytest.mark.parametrize("d_model", [32, 64])
+    def test_parts_at_the_floor_embed_as_the_whole_series(self, d_model):
+        cfg = acceptance_size_config(d_model=d_model)
+        params = stand.init_params(cfg)
+        for parts in (2, 3):
+            T = parts * stand.EMBED_ROWS  # every part exactly at the floor
+            x = make_rng(13).standard_normal((T + 7, cfg.input_channels))[7:]
+            assert stand._embed_parts(T, 3, cfg) == parts
+            whole, _ = stand._embed(x, params, cfg, keep=False)
+            split = [stand._embed(x[lo : lo + stand.EMBED_ROWS], params, cfg, keep=False)[0]
+                     for lo in range(0, T, stand.EMBED_ROWS)]
+            assert np.concatenate(split).tobytes() == whole.tobytes()
+
+    def test_short_series_or_width_one_embeds_in_one_part(self):
+        cfg = acceptance_size_config()
+        assert stand._embed_parts(2 * stand.EMBED_ROWS - 1, 3, cfg) == 1
+        assert stand._embed_parts(2 * stand.EMBED_ROWS, 3, cfg) == 2
+        assert stand._embed_parts(10 * stand.EMBED_ROWS, 3, acceptance_size_config(d_model=1)) == 1
+        assert stand._embed_parts(10 * stand.EMBED_ROWS, 1, cfg) == 1
 
 
 class TestWorkRule:
+    """As stand.infer decides on held-out series of the acceptance size (d=32)."""
+
+    @staticmethod
+    def infer_workers(T, stride):
+        cfg = acceptance_size_config()
+        windows = len(data.window_starts(T, cfg.window, stride))
+        work = stand.flop_estimate(cfg, cfg.window).total * windows
+        return pool.workers(-(-windows // 128), work)
+
     def test_long_series_pool_unless_the_stride_leaves_too_little_work(self, monkeypatch):
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        cfg = acceptance_size_config()
+        monkeypatch.setattr(pool, "blas_threads", lambda: 1)
+        assert self.infer_workers(18000, 1) == self.infer_workers(18000, 4) == 2
+        assert self.infer_workers(18000, 16) == self.infer_workers(9000, 16) == 2
+        assert self.infer_workers(9000, 32) == self.infer_workers(4500, 16) == 1
 
-        def infer_workers(stride):  # as stand.infer decides on a held-out series of 18000 steps
-            windows = len(data.window_starts(18000, cfg.window, stride))
-            work = stand.flop_estimate(cfg, cfg.window).total * windows
-            return pool.workers(-(-windows // 256), work)
-
-        assert infer_workers(1) == infer_workers(4) == 2
-        assert infer_workers(16) == 1
+    def test_threaded_blas_pools_only_the_long_strides_it_wins(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "blas_threads", lambda: 2)
+        assert self.infer_workers(18000, 1) == self.infer_workers(18000, 4) == 2
+        assert self.infer_workers(18000, 8) == self.infer_workers(18000, 16) == 1
 
 
 class TestReassembleOracle:
