@@ -18,8 +18,14 @@ import os
 import pickle
 import select
 import signal
+import tempfile
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # a platform without it has no os.fork either, so nothing forks
+    fcntl = None
 
 from .exceptions import WorkerError
 
@@ -35,6 +41,11 @@ WORK_PER_WORKER = 1e8
 # ``infer`` (d=32, T=18000) won from 2.4e9 of work (stride 4 or less), broke
 # even at 1.6e9-1.9e9 and took twice as long at 1.2e9 (stride 8).
 THREADED_BLAS_WORK = 10
+# How many times that work a worker of a lockstep ``Gang`` needs, as training
+# waits for its slowest worker twice a step. Timed in alternation on the same
+# machine, a two-worker training (d=32 and 64, batch 128) lost at 2.5e8 of
+# work after its first step, broke even at 4e8 and won from 8e8.
+LOCKSTEP_WORK = 4
 
 # What a worker's frame to this process holds: a value it sent, the end of
 # its phase, or the failure that ended its phase.
@@ -142,19 +153,19 @@ class Gang:
 
     @staticmethod
     def workers(tasks: int, work: float) -> int:
-        """``workers(tasks, work)`` when BLAS runs one thread per process,
-        else 1. The phases run in lockstep, so a worker whose core another
-        process's BLAS thread takes holds up every step: with two BLAS
-        threads per process, a two-worker training took 3.4-3.8 s on a
-        2-core machine against 2.0 s in one process."""
-        return workers(tasks, work) if blas_threads() == 1 else 1
+        """``workers(tasks, work / LOCKSTEP_WORK)`` when BLAS runs one
+        thread per process, else 1. The phases run in lockstep, so a worker
+        whose core another process's BLAS thread takes holds up every step:
+        with two BLAS threads per process, a two-worker training took
+        3.4-3.8 s on a 2-core machine against 2.0 s in one process."""
+        return workers(tasks, work / LOCKSTEP_WORK) if blas_threads() == 1 else 1
 
     def __init__(self, phases: list):
         self.phases = phases
         self.size = 1  # workers, this process included
         self._workers = []  # (pid, pipe to it, pipe from it)
         self._queue = None  # the next task to deal, then each worker's current task
-        self._token = None  # a pipe holding one byte: who reads it may take a task
+        self._lock = None  # a file whose lock a worker holds to take a task
         self._reply = None  # in a forked worker, its pipe to this process
 
     def __enter__(self) -> "Gang":
@@ -167,8 +178,7 @@ class Gang:
         """Start ``count - 1`` workers, after which every phase runs on all ``count``."""
         self.size = count
         self._queue = shared_array(count + 1, np.int64)
-        self._token = os.pipe()
-        os.write(self._token[1], b"\0")
+        self._lock = tempfile.TemporaryFile()
         pipes = [(os.pipe(), os.pipe()) for _ in range(count - 1)]
         ends = {fd for pair in pipes for both in pair for fd in both}
         try:
@@ -189,7 +199,8 @@ class Gang:
     def deal(self, worker: int, tasks: int):
         """Yield ``worker``'s next task index below ``tasks`` until the queue
         that every worker of this phase shares is empty. A shared counter
-        behind the token byte deals them, so any number of tasks fits."""
+        behind a file lock deals them, so any number of tasks fits, and the
+        kernel frees the lock of a worker that dies holding it."""
         if self._queue is None:  # not forked: this process takes every task
             yield from range(tasks)
             return
@@ -205,12 +216,10 @@ class Gang:
 
     def _take(self, halt: bool = False) -> int:
         """The queue's next index, which this takes, or past its end with ``halt``."""
-        os.read(self._token[0], 1)
-        try:
-            index = int(self._queue[0])
-            self._queue[0] = _HALTED if halt else index + 1
-        finally:  # an interrupted worker must not keep the token from the others
-            os.write(self._token[1], b"\0")
+        fcntl.lockf(self._lock, fcntl.LOCK_EX)
+        index = int(self._queue[0])
+        self._queue[0] = _HALTED if halt else index + 1
+        fcntl.lockf(self._lock, fcntl.LOCK_UN)
         return index
 
     def send(self, value) -> None:
@@ -291,9 +300,9 @@ class Gang:
             os.close(done)
         for pid, _, _ in self._workers:
             os.waitpid(pid, 0)
-        for fd in self._token or ():
-            os.close(fd)
-        self._workers, self._token = [], None
+        if self._lock is not None:
+            self._lock.close()
+        self._workers, self._lock = [], None
         self.phases = []  # phases that refer to the gang would keep it and their arrays alive
 
 

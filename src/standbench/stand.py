@@ -719,8 +719,10 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     n, W = len(windows), config.window
     rows = min(config.batch_size, n)
     # no shard has one row: a recurrent product of one row takes a
-    # matrix-vector kernel that rounds unlike the GEMM of larger batches
-    count = Gang.workers(rows // 2, 3 * flop_estimate(config, W).total * n * config.epochs)
+    # matrix-vector kernel that rounds unlike the GEMM of larger batches.
+    # The first step runs here alone, so only the later steps pay for workers.
+    later = n * config.epochs - rows
+    count = Gang.workers(rows // 2, 3 * flop_estimate(config, W).total * later)
 
     # the parameters, moments and gradients are workspace arrays, so the
     # gang's workers read what this process's optimizer writes
@@ -811,12 +813,12 @@ def infer(
     windows cover into the first LSTM layer, the windows read those rows by
     index, and no backward trace is kept.
 
-    When the work pays for it (``pool.workers``), this runs on a
-    ``pool.Gang`` with this process as worker 0: the workers embed the
-    series in contiguous parts of rows, then deal the window batches among
-    themselves and write their scores into shared memory. A row and a batch
-    are computed the same way wherever they run, so the scores do not depend
-    on how many workers there were.
+    When the work pays for it (``pool.workers``), the batches run on a
+    ``pool.Gang`` with this process as worker 0: the series is embedded
+    here, then the workers deal the window batches among themselves and
+    write their scores into shared memory. A batch is computed the same way
+    wherever it runs, so the scores do not depend on how many workers there
+    were.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_channels:
@@ -828,17 +830,9 @@ def infer(
     starts = window_starts(len(x), W, stride)
     batches = -(-len(starts) // batch_size)
     count = workers(batches, flop_estimate(config, W).total * len(starts))
-    parts = _embed_parts(len(x), count, config)
-    # the rows and scores that forked workers write land in shared memory
-    h = shared_array((len(x), config.embed_width)) if parts > 1 else \
-        _embed(x, params, config, keep=False)[0]
+    h = _embed(x, params, config, keep=False)[0]  # forked workers inherit it
     weights = _lstm_weights(params, config) if config.use_tem else None
-    scores = shared_array((len(starts), W))
-
-    def embed_part(worker):
-        if worker < parts:
-            lo, hi = len(x) * worker // parts, len(x) * (worker + 1) // parts
-            h[lo:hi] = _embed(x[lo:hi], params, config, keep=False)[0]
+    scores = shared_array((len(starts), W))  # forked workers write their scores here
 
     def score_batches(worker):
         workspace = _Workspace()  # one per worker, reused by each batch it takes
@@ -847,34 +841,13 @@ def infer(
             _score_batch(h, weights, params, config, starts[lo : lo + batch_size],
                          scores[lo : lo + batch_size], workspace)
 
-    with Gang([embed_part, score_batches]) as gang:
+    with Gang([score_batches]) as gang:
         if count > 1:
             gang.fork(count)
-        if parts > 1:
-            gang.run(0)
-        gang.run(1)
+        gang.run(0)
     ws = WindowSet(window=W, stride=stride, series_length=len(x), starts=starts,
                    values=None, labels=None)
     return reassemble(ws, scores)
-
-
-# The fewest rows a forked worker embeds. ``_embed_layer_forward`` multiplies
-# by the transposed ``w.T``, and this OpenBLAS rounds that product's rows one
-# way for small matrices and another for large ones: at d_model 32 a block of
-# 37 rows or fewer differs in its last bits from the same rows inside a
-# whole-series product, and at d_model 2 one of up to 600 rows does. 1024
-# rows is well clear of both, so every part embeds its rows as the
-# whole-series pass does.
-EMBED_ROWS = 1024
-
-
-def _embed_parts(T: int, count: int, config: StandConfig) -> int:
-    """Into how many contiguous parts ``count`` workers split the embedding
-    of T rows: at least ``EMBED_ROWS`` each, and one when d_model is 1,
-    whose products are matrix-vector ones that round by the rows' position."""
-    if not config.use_embedding or config.d_model < 2:
-        return 1
-    return max(1, min(count, T // EMBED_ROWS))
 
 
 def _score_batch(h, weights, params, config: StandConfig, starts, out, workspace) -> None:

@@ -250,31 +250,6 @@ class TestPooledInfer:
         assert mine > len(runs) - mine  # 47 batches: the child sleeps 50 ms before each of its own
 
 
-class TestEmbeddingParts:
-    """infer's workers embed contiguous parts of at least EMBED_ROWS rows, each
-    as the whole-series pass embeds them."""
-
-    @pytest.mark.parametrize("d_model", [32, 64])
-    def test_parts_at_the_floor_embed_as_the_whole_series(self, d_model):
-        cfg = acceptance_size_config(d_model=d_model)
-        params = stand.init_params(cfg)
-        for parts in (2, 3):
-            T = parts * stand.EMBED_ROWS  # every part exactly at the floor
-            x = make_rng(13).standard_normal((T + 7, cfg.input_channels))[7:]
-            assert stand._embed_parts(T, 3, cfg) == parts
-            whole, _ = stand._embed(x, params, cfg, keep=False)
-            split = [stand._embed(x[lo : lo + stand.EMBED_ROWS], params, cfg, keep=False)[0]
-                     for lo in range(0, T, stand.EMBED_ROWS)]
-            assert np.concatenate(split).tobytes() == whole.tobytes()
-
-    def test_short_series_or_width_one_embeds_in_one_part(self):
-        cfg = acceptance_size_config()
-        assert stand._embed_parts(2 * stand.EMBED_ROWS - 1, 3, cfg) == 1
-        assert stand._embed_parts(2 * stand.EMBED_ROWS, 3, cfg) == 2
-        assert stand._embed_parts(10 * stand.EMBED_ROWS, 3, acceptance_size_config(d_model=1)) == 1
-        assert stand._embed_parts(10 * stand.EMBED_ROWS, 1, cfg) == 1
-
-
 class TestWorkRule:
     """As stand.infer decides on held-out series of the acceptance size (d=32)."""
 

@@ -69,3 +69,31 @@ def test_completed_raises_a_tasks_error_and_starts_no_task_after_it(monkeypatch)
             done.append(index)
     # the other worker may have been running task 4; none took a later one
     assert started[5:].sum() == 0 and set(done) <= {0, 1, 2, 4}
+
+
+def test_a_worker_that_dies_taking_a_task_holds_up_no_other():
+    # worker 1 is killed inside the queue's lock; this process, worker 0,
+    # still takes every task and then reports the death
+    dying = pool.shared_array(1, np.int64)
+    taken = []
+
+    class KilledOnRead:  # the queue as worker 1 sees it: reading it kills the worker
+        def __init__(self, queue):
+            self.queue = queue
+
+        def __getitem__(self, index):
+            dying[0] = 1
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def take(worker):
+        if worker == 1:
+            gang._queue = KilledOnRead(gang._queue)
+        while worker == 0 and not dying[0]:  # worker 0 starts once worker 1 is inside the lock
+            time.sleep(0.001)
+        taken.extend(gang.deal(worker, 10))
+
+    with pytest.raises(pool.WorkerError, match="gang worker 1 died in phase take"):
+        with pool.Gang([take]) as gang:
+            gang.fork(2)
+            gang.run(0)
+    assert taken == list(range(10))

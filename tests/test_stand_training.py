@@ -317,6 +317,30 @@ class TestTrainingGang:
         assert train_digest(stand.train(gang_windows(198, cfg), cfg)) == GANG_CASES["full"][-1]
         assert {pid for pid, _, _ in logged_calls(logged_forward)} == {os.getpid()}
 
+    @pytest.mark.parametrize("epochs, forks", [(1, []), (2, [2])])
+    def test_only_the_steps_after_the_first_pay_for_the_gang(self, epochs, forks, monkeypatch,
+                                                             bounded):
+        # the first step runs in this process alone, so a one-step training
+        # forks no gang, whatever its work
+        cfg = stand.StandConfig(**{**GANG_BASE, "epochs": epochs, "batch_size": 128})
+        started, fork = [], pool.Gang.fork
+        monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool.Gang, "fork",
+                            lambda gang, count: fork(gang, count) or started.append(count))
+        stand.train(gang_windows(198, cfg), cfg)  # 96 windows, one batch an epoch
+        assert started == forks
+
+    def test_a_lockstep_gang_needs_more_work_per_worker(self, monkeypatch):
+        # the work after the first step, in windows of the acceptance size
+        # (d=32): two workers broke even at 256 of them and won at 512
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+        cfg = stand.StandConfig(input_channels=8, d_model=32, window=32)
+        per_window = 3 * stand.flop_estimate(cfg, cfg.window).total
+        assert pool.Gang.workers(64, 400 * per_window) == 1
+        assert pool.Gang.workers(64, 512 * per_window) == 2
+        assert pool.workers(64, 400 * per_window / 3) == 2  # infer pools from less
+
     @pytest.mark.parametrize("death", ["exit", "raise"])
     def test_dead_worker_is_an_error_and_leaves_no_child(self, death, monkeypatch, logged_forward,
                                                          bounded):
