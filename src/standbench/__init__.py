@@ -9,7 +9,7 @@ Submodules:
   pointwise supervised classifier, all behind one score-sequence interface
 - ``metrics``: CCE, F1, Aff-F1, UAff-F1, AUC-ROC, VUS-PR
 - ``bench``: experiment harness, sweeps and table emission; ``cli``: entry point
-- ``pool``: the forked process pool that grids and ``stand.infer`` share
+- ``pool``: the one module that forks; grids, training and scoring run on its gangs
 """
 
 __version__ = "0.1.0"

@@ -6,9 +6,9 @@ result files. Per-cell randomness is derived as ``base_seed + run_seed`` for
 the synthetic data spec, the detector, and the metric Monte-Carlo baselines.
 Cells are cached under ``<output_dir>/cells/<digest>.json`` keyed only by the
 cell's own inputs and ``CACHE_VERSION``, so removing a detector from the config
-and rerunning reuses every other cell, a crash loses only the cells of the
-(dataset, seed) groups still being computed, and cells cached by code that
-computed them differently are not reused.
+and rerunning reuses every other cell, a crash loses only the cells still being
+computed, and cells cached by code that computed them differently are not
+reused.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .exceptions import (
     ConfigError, IngestError, StandbenchError, WorkerError, config_float, config_int,
 )
 from .metrics import MetricReport, MetricsConfig, evaluate
-from .pool import completed
+from .pool import each
 
 METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
 # Part of every cell's cache key: bump it whenever a code change can alter a
@@ -257,16 +257,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     """Run every configured cell, reusing cached ones; returns (table, had_failures).
 
     Uncached cells are computed in groups of one (dataset, run seed), so each
-    series is materialized once. Several groups run on ``pool.completed``'s
-    forked workers, one per usable CPU at most, which take them one at a
-    time: forked workers inherit this process's modules and numeric setup,
-    so a cell gets the same bits in either place. This process computes no
-    group; it alone writes files: each group's cells as soon as the group
-    finishes, then the tables with their rows in config order.
+    series is materialized once. Several groups run on ``pool.each``'s forked
+    workers, one per usable CPU at most, which take them one at a time:
+    forked workers inherit this process's modules and numeric setup, so a
+    cell gets the same bits in either place. This process computes no group.
+    Each cell's file is written as soon as the cell is computed; then every
+    cell, cached or not, is read back through ``read_cell`` into the tables,
+    rows in config order.
     """
     os.makedirs(os.path.join(config.output_dir, "cells"), exist_ok=True)
     paths = []  # every cell's file, in config order
-    records = {}  # cell file -> its record, read from the cache or computed
+    records = {}  # every distinct cell file -> its record, read once the groups ran
     groups: dict[tuple, list] = {}  # (dataset index, seed) -> uncached cells
     for index, dataset_entry in enumerate(config.datasets):
         for threshold in config.split_thresholds:
@@ -282,26 +283,28 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                         "metrics": config.metrics.to_dict(),
                     }
                     path = _cell_path(config.output_dir, cell_key)
-                    paths.append(path)
-                    if path in records:  # a repeated entry: the same cell again
-                        continue
-                    records[path] = None
-                    if os.path.exists(path):
-                        with open(path, encoding="utf-8") as fh:
-                            records[path] = CellRecord.from_dict(json.load(fh))
-                    else:
+                    if path not in records and not os.path.exists(path):
                         groups.setdefault((index, seed), []).append(
                             (path, subset, threshold, detector_entry, seed))
+                    records[path] = None
+                    paths.append(path)
 
-    tasks = [(config.datasets[index], cells, config) for (index, _), cells in groups.items()]
-    for done, computed in completed(_compute_group, tasks):
-        for (path, *_), record in zip(tasks[done][1], computed):
-            atomic_write(path, json.dumps(record.to_dict(), sort_keys=True, indent=1))
-            records[path] = record
-
+    each(_compute_group, [(config.datasets[index], cells, config)
+                          for (index, _), cells in groups.items()])
+    for path in records:
+        records[path] = read_cell(path)
     table = ResultsTable(name=config.name, rows=[records[path] for path in paths])
     write_table(table, config.output_dir)
     return table, any(record.error is not None for record in table.rows)
+
+
+def read_cell(path: str) -> CellRecord:
+    """The record in a cell file, cached or just computed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return CellRecord.from_dict(json.load(fh))
+    except (StandbenchError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"{path}: not a cell record: {exc!r}") from None
 
 
 # A cell's own failures: a StandbenchError, or a numerical failure of its
@@ -310,9 +313,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
 _CELL_ERRORS = (StandbenchError, np.linalg.LinAlgError, FloatingPointError)
 
 
-def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -> list:
-    """The records of one (dataset, seed) group's cells, given as
-    (path, subset, threshold, detector entry, seed), in order.
+def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -> None:
+    """Compute one (dataset, seed) group's cells, given as (path, subset,
+    threshold, detector entry, seed), in order, and write each cell's record
+    to its path as soon as it is computed.
 
     The series is materialized once and made read-only, since every cell
     reads the same arrays: a cell that wrote into them would change the input
@@ -326,8 +330,9 @@ def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -
         for array in (series.values, series.labels):
             if array is not None:
                 array.flags.writeable = False
-    return [_compute_cell(series, subset, threshold, detector_entry, seed, config)
-            for _, subset, threshold, detector_entry, seed in cells]
+    for path, subset, threshold, detector_entry, seed in cells:
+        record = _compute_cell(series, subset, threshold, detector_entry, seed, config)
+        atomic_write(path, json.dumps(record.to_dict(), sort_keys=True, indent=1))
 
 
 def _compute_cell(series: TimeSeriesDataset | Exception, subset, threshold, detector_entry,

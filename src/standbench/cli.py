@@ -90,6 +90,8 @@ def cmd_score(args) -> int:
 def cmd_evaluate(args) -> int:
     scores = read_scores_csv(args.scores)
     ds = load_csv(args.data, args.label_column)
+    if ds.labels is None:
+        raise IngestError(f"{args.data} has no label column '{args.label_column}'")
     lo, hi = _parse_segment(args.segment, ds.length)
     labels = ds.labels[lo:hi]
     cfg = MetricsConfig(buffer_max=args.buffer_max, mc_draws=args.mc_draws, seed=args.seed)

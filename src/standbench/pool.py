@@ -3,21 +3,18 @@ This is the one module that forks.
 
 Workers are forked, so they inherit this process's modules, arrays and
 numeric setup, and a task computes the same bits wherever it runs. A phase
-and its tasks reach each worker through the fork, not a pickle: only a
-phase's number goes to a worker, and only what a worker ``send``s comes back,
-pickled over its pipe. A caller hands large outputs back by writing them
-into ``shared_array``s made before the fork. standbench starts no thread, so
-forking is safe.
+and its tasks reach each worker through the fork: only a phase's number
+goes to a worker over its pipe, and only one byte comes back when it ends
+the phase, or one line naming the exception that ended it. A caller hands
+outputs back by writing them into ``shared_array``s made before the fork, or
+into files. standbench starts no thread, so forking is safe.
 """
 
 from __future__ import annotations
 
-import functools
 import mmap
 import os
-import pickle
 import select
-import signal
 import tempfile
 
 import numpy as np
@@ -47,9 +44,10 @@ THREADED_BLAS_WORK = 10
 # work after its first step, broke even at 4e8 and won from 8e8.
 LOCKSTEP_WORK = 4
 
-# What a worker's frame to this process holds: a value it sent, the end of
-# its phase, or the failure that ended its phase.
-_VALUE, _DONE, _FAILED = range(3)
+# A worker's reply when it has ended a phase; any other reply is the
+# ``Type: message`` line of the exception that ended it, in one write that
+# the pipe keeps whole.
+_DONE = b"\n"
 # Past any task count: a queue that reads this is empty.
 _HALTED = 2**62
 
@@ -97,46 +95,38 @@ def shared_array(shape, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buffer, dtype)[:count].reshape(shape)
 
 
-def completed(fn, tasks: list):
-    """Yield (index, fn(*tasks[index])) for every task, as each finishes, on
-    ``workers(len(tasks))`` forked workers that deal the tasks among
-    themselves. This process computes none of them: it only collects.
+def each(fn, tasks: list) -> None:
+    """Call ``fn(*task)`` for every task, on ``workers(len(tasks))`` forked
+    workers that deal the tasks among themselves. This process computes none
+    of them: it only waits, so what a task makes it writes itself.
 
-    An exception from a task is raised here with its own type, and no task
-    starts after it. A worker that dies raises ``WorkerError`` naming its
-    task. Every worker is stopped and reaped before this returns or raises.
+    In-process, an exception from a task is raised with its own type and no
+    task starts after it. On workers, a task that raises or a worker that
+    dies ends the call with ``WorkerError`` naming the exception or the task,
+    once the other workers have finished their current task; none takes
+    another. Every worker is reaped before this returns or raises.
     """
     count = workers(len(tasks))
     if count == 1:
-        for index, task in enumerate(tasks):
-            yield index, fn(*task)
+        for task in tasks:
+            fn(*task)
         return
 
-    @functools.wraps(fn)  # a dead worker's error names fn
     def deal(worker):
-        for index in gang.deal(worker, len(tasks)):
-            try:
-                result = fn(*tasks[index])
-            except Exception as exc:
-                gang.halt()
-                gang.send((index, None, exc))
-                return
-            gang.send((index, result, None))
+        if worker:  # this process, worker 0, takes no task
+            for index in gang.deal(worker, len(tasks)):
+                fn(*tasks[index])
 
+    deal.__name__ = fn.__name__  # a worker's error names fn
     with Gang([deal]) as gang:
-        gang.fork(count + 1)  # this process is worker 0, which takes no task
-        for index, result, error in gang.collect(0):
-            if error is not None:
-                raise error
-            yield index, result
+        gang.fork(count + 1)
+        gang.run(0)
 
 
 class Gang:
     """This process as worker 0 and ``count - 1`` forked workers that run
     each phase together: ``run(phase)`` calls ``phases[phase](worker)`` on
-    every worker and returns when all have finished it; ``collect(phase)``
-    calls it on the forked workers only and yields what they ``send``, as it
-    arrives.
+    every worker and returns when all have finished it.
 
     A phase splits its work by worker number, or takes tasks one at a time
     from ``deal``, a queue that every worker of the phase shares, so a
@@ -145,10 +135,12 @@ class Gang:
     ``fork`` starts the workers; until then ``run`` calls this process's
     share alone. Workers see what this process wrote into ``shared_array``s
     before it starts a phase, and it sees what they wrote once the phase
-    ends: one pipe byte to each worker starts a phase, and a frame back ends
-    it. A worker that dies or raises ends the phase with ``WorkerError``
-    naming the phase, or the task it died on; leaving the ``with`` block
-    stops and reaps every worker.
+    ends: one pipe byte to each worker starts a phase, and one byte back
+    ends it. When a worker dies or raises, the queue is halted and, once
+    every other worker has ended the phase, ``run`` raises ``WorkerError``
+    naming the exception, or the task or phase it died in. Leaving the
+    ``with`` block halts the queue and reaps every worker once it has ended
+    its phase.
     """
 
     @staticmethod
@@ -166,13 +158,12 @@ class Gang:
         self._workers = []  # (pid, pipe to it, pipe from it)
         self._queue = None  # the next task to deal, then each worker's current task
         self._lock = None  # a file whose lock a worker holds to take a task
-        self._reply = None  # in a forked worker, its pipe to this process
 
     def __enter__(self) -> "Gang":
         return self
 
-    def __exit__(self, kind, *_) -> None:
-        self.close(kill=kind is not None)
+    def __exit__(self, *_) -> None:
+        self.close()
 
     def fork(self, count: int) -> None:
         """Start ``count - 1`` workers, after which every phase runs on all ``count``."""
@@ -189,8 +180,7 @@ class Gang:
                     _job = self
                     for fd in ends - {go_read, done_write}:
                         os.close(fd)
-                    self._reply = done_write
-                    self._work(worker, go_read)
+                    self._work(worker, go_read, done_write)
                 self._workers.append((pid, go_write, done_read))
         finally:  # this process keeps only its ends of the started workers' pipes
             for fd in ends - {fd for _, go, done in self._workers for fd in (go, done)}:
@@ -222,36 +212,24 @@ class Gang:
         fcntl.lockf(self._lock, fcntl.LOCK_UN)
         return index
 
-    def send(self, value) -> None:
-        """From a forked worker, hand ``value`` to this process's ``collect``."""
-        _write_frame(self._reply, (_VALUE, value))
-
-    def _work(self, worker: int, go) -> None:
-        code = 0
+    def _work(self, worker: int, go, reply) -> None:
         try:
             while phase := os.read(go, 1):
                 try:
                     self.phases[phase[0]](worker)
                 except BaseException as exc:
                     self.halt()
-                    _write_frame(self._reply, (_FAILED, f"{type(exc).__name__}: {exc}"))
-                    code = 1
-                    break
-                _write_frame(self._reply, (_DONE, None))
-        finally:
-            os._exit(code)
+                    os.write(reply, f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF])
+                    os._exit(1)
+                os.write(reply, _DONE)
+        finally:  # the end of its pipe, or a reply this process no longer reads
+            os._exit(0)
 
     def run(self, phase: int) -> None:
         """Run ``phase`` on every worker, this process included."""
         self._start(phase)
         self.phases[phase](0)
-        for _ in self._replies(phase):
-            pass
-
-    def collect(self, phase: int):
-        """Run ``phase`` on the forked workers only and yield what they send."""
-        self._start(phase)
-        yield from self._replies(phase)
+        self._wait(phase)
 
     def _start(self, phase: int) -> None:
         if self._queue is not None:
@@ -264,69 +242,43 @@ class Gang:
                 name = self.phases[phase].__name__
                 raise WorkerError(f"gang worker {worker} died before phase {name}") from None
 
-    def _replies(self, phase: int):
-        """Yield the values the forked workers send, as they arrive, until
-        each has ended ``phase``. Every worker's pipe is drained as it fills,
-        so a worker blocked on a full pipe never waits for another."""
+    def _wait(self, phase: int) -> None:
+        """Return once every forked worker has ended ``phase``. One that
+        failed or died halts the queue, and the first is raised as
+        ``WorkerError`` once the others have ended theirs."""
         name = self.phases[phase].__name__
         pending = {done: worker for worker, (_, _, done) in enumerate(self._workers, 1)}
         poller = select.poll()
         for done in pending:
             poller.register(done, select.POLLIN)
+        error = None
         while pending:
             for fd, _ in poller.poll():
-                worker = pending[fd]
-                frame = _read_frame(fd)
-                if frame is None:
-                    task = int(self._queue[1 + worker])
-                    if task >= 0:
-                        raise WorkerError(f"a worker died running task {task} of {name}")
-                    raise WorkerError(f"gang worker {worker} died in phase {name}")
-                kind, value = frame
-                if kind == _VALUE:
-                    yield value
-                elif kind == _FAILED:
-                    raise WorkerError(f"gang worker {worker} failed: {value} in phase {name}")
+                poller.unregister(fd)
+                worker = pending.pop(fd)
+                reply = os.read(fd, select.PIPE_BUF)
+                if reply == _DONE or error is not None:
+                    continue
+                self.halt()
+                if reply:
+                    error = f"gang worker {worker} failed: {reply.decode(errors='replace')}"
+                    error += f" in phase {name}"
+                elif (task := int(self._queue[1 + worker])) >= 0:
+                    error = f"a worker died running task {task} of {name}"
                 else:
-                    poller.unregister(fd)
-                    del pending[fd]
+                    error = f"gang worker {worker} died in phase {name}"
+        if error is not None:
+            raise WorkerError(error)
 
-    def close(self, kill: bool = False) -> None:
-        """Stop every worker (at once with ``kill``, else after its phase) and reap it."""
-        for pid, go, done in self._workers:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
+    def close(self) -> None:
+        """Halt the queue, stop every worker once it has ended its phase, and reap it."""
+        self.halt()
+        for _, go, done in self._workers:
             os.close(go)
             os.close(done)
         for pid, _, _ in self._workers:
             os.waitpid(pid, 0)
         if self._lock is not None:
             self._lock.close()
-        self._workers, self._lock = [], None
+        self._workers, self._queue, self._lock = [], None, None
         self.phases = []  # phases that refer to the gang would keep it and their arrays alive
-
-
-def _write_frame(fd: int, value) -> None:
-    """Write ``value`` pickled, after its length, whatever the pipe holds at once."""
-    data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_frame(fd: int):
-    """The value of the next frame on ``fd``, or None at the end of the pipe."""
-    header = _read(fd, 8)
-    data = header and _read(fd, int.from_bytes(header, "little"))
-    return None if data is None else pickle.loads(data)
-
-
-def _read(fd: int, size: int) -> bytes | None:
-    chunks = []
-    while size:
-        chunk = os.read(fd, min(size, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import signal
@@ -13,7 +14,7 @@ from standbench import baselines, bench, checkpoint, cli, pool, stand
 from standbench.bench import ExperimentConfig, ResultsTable
 from standbench.data import (SyntheticSpec, generate_synthetic, write_csv, zscore_apply,
                              zscore_fit)
-from standbench.exceptions import ConfigError, IngestError
+from standbench.exceptions import ConfigError, IngestError, WorkerError
 from standbench.metrics import MetricReport, write_scores_csv
 from standbench.ndcore import make_rng
 
@@ -371,8 +372,27 @@ class TestProcessPool:
         grid = small_config(tmp_path, detectors=[{"kind": "random"}], seeds=(0, 1)).to_dict()
         out = subprocess.run([sys.executable, "-c", code, json.dumps(grid)], capture_output=True,
                              text=True, check=True).stdout
-        # an infer gang, then a grid's two workers and this process collecting
+        # an infer gang, then a grid's two workers and this process waiting
         assert out.strip() == ("[2, 3] []" if hasattr(os, "fork") else "[] []")
+
+    def test_only_pool_forks(self):
+        # the modules that name os.fork (or os.forkpty), or import it from os
+        package = os.path.dirname(bench.__file__)
+        forking = set()
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                        names = [node.attr] if node.value.id == "os" else []
+                    elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                        names = [alias.name for alias in node.names]
+                    else:
+                        names = []
+                    if any(n.startswith("fork") for n in names):
+                        forking.add(name)
+        assert forking == {"pool.py"}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
     def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch):
@@ -407,8 +427,8 @@ class TestProcessPool:
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             if cells[0][-1] == 1:  # the seed-1 group dies once seed 0's cells are written
-                deadline = time.monotonic() + 30
-                while len(os.listdir(out / "cells")) < 2 and time.monotonic() < deadline:
+                deadline, cells_dir = time.monotonic() + 30, out / "cells"
+                while len(list(cells_dir.glob("*.json"))) < 2 and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os._exit(9)
             return real(dataset_entry, cells, config)
@@ -428,19 +448,31 @@ class TestProcessPool:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert "error: a worker died running task 1 of dying" in capsys.readouterr().err
-        assert len(os.listdir(out / "cells")) == 2 and not (out / "mini_results.json").exists()
+        kept = sorted((out / "cells").glob("*.json"))
+        assert len(kept) == 2 and not (out / "mini_results.json").exists()
+        assert sorted(bench.read_cell(str(path)).detector for path in kept) == ["pca", "random"]
         for pid in {int(line) for line in pids.read_text().split()}:  # every worker reaped
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
     def test_worker_error_is_raised(self, tmp_path, monkeypatch, grid_path):
+        # a task's own exception in-process; a WorkerError naming it from a forked worker
+        log = tmp_path / "fits.txt"  # forked workers append to it too
+
         def broken_fit(self, values, labels=None):
+            with open(log, "a") as fh:
+                fh.write("fit\n")
             raise KeyError("not a cell failure")
 
         monkeypatch.setattr(baselines.PcaDetector, "fit", broken_fit)
-        cfg = small_config(tmp_path, detectors=[{"kind": "pca", "rank": 2}], seeds=(0, 1))
-        with pytest.raises(KeyError, match="not a cell failure"):
+        cfg = small_config(tmp_path, detectors=[{"kind": "pca", "rank": 2}], seeds=(0, 1, 2, 3))
+        pooled = grid_path == "pool" and hasattr(os, "fork")
+        kind, text = (WorkerError, "KeyError: 'not a cell failure'") if pooled else (
+            KeyError, "not a cell failure")
+        with pytest.raises(kind, match=text):
             bench.run_experiment(cfg)
+        # no group started after a failure: at most one per worker
+        assert len(log.read_text().split()) <= (2 if pooled else 1)
 
 
 class TestAggregation:
@@ -756,6 +788,31 @@ class TestCli:
                          "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err
+
+    def test_exit_code_two_on_data_without_label_column(self, tmp_path, capsys):
+        data_path = tmp_path / "unlabeled.csv"
+        data_path.write_text("a,b\n0.5,1.0\n0.25,2.0\n0.75,3.0\n")
+        scores_path = tmp_path / "scores.csv"
+        write_scores_csv(scores_path, [0.1, 0.9, 0.2])
+        assert cli.main(["evaluate", "--scores", str(scores_path), "--data", str(data_path),
+                         "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {data_path} has no label column 'label'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "detector"}),
+        lambda doc: json.dumps(doc)[:-3],
+        lambda doc: json.dumps({**doc, "seed": "zero"}),
+    ], ids=["missing_key", "invalid_json", "wrong_type"])
+    def test_exit_code_two_on_corrupt_cached_cell(self, tmp_path, capsys, corrupt):
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}])
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 0
+        (cell,) = (tmp_path / "out" / "cells").glob("*.json")
+        cell.write_text(corrupt(json.loads(cell.read_text())))
+        capsys.readouterr()
+        assert cli.main(["bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cell}: not a cell record")
 
     def test_exit_code_two_on_non_finite_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

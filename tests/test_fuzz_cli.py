@@ -2,8 +2,9 @@
 
 Seven kinds of input are mutated: a ``bench`` config, a synthetic spec, a
 checkpoint, a results table, a scores CSV, a ``train --detector`` file and a
-data CSV. A mutation drops a key (or a list element, or a CSV row or cell),
-gives a value a wrong type, truncates the file or flips one of its bytes.
+data CSV, which both ``train`` and ``evaluate`` read. A mutation drops a key
+(or a list element, or a CSV row or cell), gives a value a wrong type,
+truncates the file or flips one of its bytes.
 Each entry of the bench config (every detector and every other top-level key)
 also gets its own drawn mutations, and every detector hyperparameter gets every
 wrong type, whether or not a drawn mutation reaches it.
@@ -114,6 +115,9 @@ SUBJECTS = {
         "--out", os.path.join(d, "r.json"), "--mc-draws", "2"]),
     "detector_file": (DETECTOR, _json, lambda f, d: _train(os.path.join(d, "series.csv"), f, d)),
     "data_csv": (ROWS, _csv, lambda f, d: _train(f, os.path.join(d, "detector.json"), d)),
+    "evaluated_data_csv": (ROWS, _csv, lambda f, d: [
+        "evaluate", "--scores", os.path.join(d, "scores.csv"), "--data", f,
+        "--out", os.path.join(d, "r.json"), "--mc-draws", "2"]),
 }
 
 
@@ -153,8 +157,10 @@ def mutated(draw, doc, encode, under=None) -> bytes:
 
 
 def _write_inputs(blob: bytes) -> None:
-    """The file under test, and the valid series and detector file beside it."""
+    """The file under test, and the valid series, scores and detector file beside it."""
     write_csv(SERIES, "series.csv")
+    with open("scores.csv", "wb") as fh:
+        fh.write(_csv(SCORES))
     with open("detector.json", "wb") as fh:
         fh.write(_json(DETECTOR))
     with open("input", "wb") as fh:

@@ -1,4 +1,4 @@
-"""pool.Gang's dealt tasks and pool.completed, on small stand-in tasks."""
+"""pool.Gang's dealt tasks and pool.each, on small stand-in tasks."""
 
 import os
 import signal
@@ -43,32 +43,41 @@ def test_deal_hands_out_every_task_once_for_any_count():
             assert (taken.sum(axis=0) == 1).all()
 
 
-def test_completed_passes_records_larger_than_a_pipe(monkeypatch):
-    # each worker's records outgrow its pipe while this process reads the other's
-    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-    tasks = [(seed,) for seed in range(6)]
-    got = dict(pool.completed(lambda seed: np.full(300_000, float(seed)), tasks))
-    assert sorted(got) == list(range(6))
-    assert all((got[seed] == seed).all() and got[seed].shape == (300_000,) for seed in got)
-
-
-def test_completed_raises_a_tasks_error_and_starts_no_task_after_it(monkeypatch):
+def test_each_raises_a_tasks_error_and_starts_no_task_after_it(monkeypatch):
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     started = pool.shared_array(20, np.int64)
-    done = []
 
     def task(index):
         started[index] = 1
         if index == 3:
             raise KeyError("task three")
         time.sleep(0.02)
-        return index
 
-    with pytest.raises(KeyError, match="task three"):
-        for index, _ in pool.completed(task, [(index,) for index in range(20)]):
-            done.append(index)
+    with pytest.raises(pool.WorkerError, match="failed: KeyError: 'task three' in phase task"):
+        pool.each(task, [(index,) for index in range(20)])
     # the other worker may have been running task 4; none took a later one
-    assert started[5:].sum() == 0 and set(done) <= {0, 1, 2, 4}
+    assert started[:5].sum() >= 4 and started[5:].sum() == 0
+
+
+def test_after_a_failure_the_other_worker_ends_its_task_and_takes_no_other(monkeypatch):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    started = pool.shared_array(10, np.int64)
+    finished = pool.shared_array(10, np.int64)
+
+    def task(index):
+        started[index] = 1
+        if index == 0:  # fails once the other worker holds task 1
+            deadline = time.monotonic() + 30
+            while not started[1] and time.monotonic() < deadline:
+                time.sleep(0.001)
+            raise ValueError("task zero")
+        time.sleep(0.3)
+        finished[index] = 1
+
+    with pytest.raises(pool.WorkerError, match="ValueError: task zero"):
+        pool.each(task, [(index,) for index in range(10)])
+    # raised only after task 1 ran to its end, and no task started after the failure
+    assert started[:2].all() and finished[1] == 1 and started[2:].sum() == 0
 
 
 def test_a_worker_that_dies_taking_a_task_holds_up_no_other():
