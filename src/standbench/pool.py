@@ -243,8 +243,8 @@ class Gang:
                 raise WorkerError(f"gang worker {worker} died before phase {name}") from None
 
     def _wait(self, phase: int) -> None:
-        """Return once every forked worker has ended ``phase``. One that
-        failed or died halts the queue, and the first is raised as
+        """Return once every forked worker has ended ``phase``. When one has
+        failed or died, halt the queue, and raise the first failure as
         ``WorkerError`` once the others have ended theirs."""
         name = self.phases[phase].__name__
         pending = {done: worker for worker, (_, _, done) in enumerate(self._workers, 1)}
@@ -261,8 +261,8 @@ class Gang:
                     continue
                 self.halt()
                 if reply:
-                    error = f"gang worker {worker} failed: {reply.decode(errors='replace')}"
-                    error += f" in phase {name}"
+                    text = reply.decode(errors="replace")
+                    error = f"gang worker {worker} failed: {text} in phase {name}"
                 elif (task := int(self._queue[1 + worker])) >= 0:
                     error = f"a worker died running task {task} of {name}"
                 else:
