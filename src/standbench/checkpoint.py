@@ -9,6 +9,8 @@ serializes every detector kind (the ``kind`` tag selects the interpretation).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -59,12 +61,17 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         if version != FORMAT_VERSION:
             raise IngestError(f"{path}: unsupported checkpoint version {version}")
         tensors = {}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise IngestError(f"{path}: truncated payload for tensor '{name}'")
-            tensor = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            size = 8 * math.prod(shape)  # exact: np.prod wraps around past 2**63
+            if size > left:  # checked first, so a huge shape reads nothing
+                raise IngestError(f"{path}: tensor '{name}' of shape {list(shape)} needs "
+                                  f"{size} bytes, the file has {left} left")
+            left -= size
+            try:
+                tensor = np.frombuffer(fh.read(size), "<f8").astype(np.float64).reshape(shape)
+            except ValueError as exc:  # an empty shape with a dimension past numpy's limit
+                raise IngestError(f"{path}: tensor '{name}': {exc}") from exc
             if not np.isfinite(tensor).all():  # it would score as inf or nan
                 raise IngestError(f"{path}: non-finite values in tensor '{name}'")
             tensors[name] = tensor

@@ -82,17 +82,6 @@ def _check_two_classes(labels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pointwise_f1(pred, labels) -> float:
-    """F1 of a binary prediction against binary labels, on the 0-100 scale."""
-    p = np.asarray(pred, dtype=np.int64)
-    y = np.asarray(labels, dtype=np.int64)
-    if p.shape != y.shape:
-        raise ConfigError("prediction and labels must have equal length")
-    tp = int(np.sum((p == 1) & (y == 1)))
-    denom = 2 * tp + int(np.sum((p == 1) & (y == 0))) + int(np.sum((p == 0) & (y == 1)))
-    return 100.0 * 2 * tp / denom if denom else 0.0
-
-
 def best_f1(scores, labels) -> tuple[float, float]:
     """Max point-wise F1 over candidate thresholds, with the smallest such tau.
 
@@ -511,8 +500,3 @@ def write_report(path, report: MetricReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> MetricReport:
-    with open(path, encoding="utf-8") as fh:
-        return MetricReport.from_dict(json.load(fh))

@@ -126,21 +126,19 @@ def each(fn, tasks: list) -> None:
 class Gang:
     """This process as worker 0 and ``count - 1`` forked workers that run
     each phase together: ``run(phase)`` calls ``phases[phase](worker)`` on
-    every worker and returns when all have finished it.
+    every worker and returns when all have finished it. A phase takes its
+    tasks one at a time from ``deal``, a queue that every worker of the
+    phase shares, so a worker that another process slows down simply takes
+    fewer. Until ``fork`` starts the workers, this process is the only one,
+    and ``deal`` hands it every task.
 
-    A phase splits its work by worker number, or takes tasks one at a time
-    from ``deal``, a queue that every worker of the phase shares, so a
-    worker that another process slows down simply takes fewer.
-
-    ``fork`` starts the workers; until then ``run`` calls this process's
-    share alone. Workers see what this process wrote into ``shared_array``s
-    before it starts a phase, and it sees what they wrote once the phase
-    ends: one pipe byte to each worker starts a phase, and one byte back
-    ends it. When a worker dies or raises, the queue is halted and, once
-    every other worker has ended the phase, ``run`` raises ``WorkerError``
-    naming the exception, or the task or phase it died in. Leaving the
-    ``with`` block halts the queue and reaps every worker once it has ended
-    its phase.
+    Workers see what this process wrote into ``shared_array``s before it
+    starts a phase, and it sees what they wrote once the phase ends: one
+    pipe byte to each worker starts a phase, and one byte back ends it. When
+    a worker dies or raises, the queue is halted and, once every other
+    worker has ended the phase, ``run`` raises ``WorkerError`` naming the
+    exception, or the task or phase it died in. Leaving the ``with`` block
+    halts the queue and reaps every worker once it has ended its phase.
     """
 
     @staticmethod
@@ -154,7 +152,6 @@ class Gang:
 
     def __init__(self, phases: list):
         self.phases = phases
-        self.size = 1  # workers, this process included
         self._workers = []  # (pid, pipe to it, pipe from it)
         self._queue = None  # the next task to deal, then each worker's current task
         self._lock = None  # a file whose lock a worker holds to take a task
@@ -167,7 +164,6 @@ class Gang:
 
     def fork(self, count: int) -> None:
         """Start ``count - 1`` workers, after which every phase runs on all ``count``."""
-        self.size = count
         self._queue = shared_array(count + 1, np.int64)
         self._lock = tempfile.TemporaryFile()
         pipes = [(os.pipe(), os.pipe()) for _ in range(count - 1)]

@@ -697,15 +697,17 @@ class TrainResult:
 def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     """Mini-batch training over labeled windows, deterministic given config.seed.
 
-    When the work pays for it (``pool.Gang.workers``), the steps run on a
-    ``pool.Gang`` of one worker per usable CPU, this process being worker 0.
-    The first step runs here alone, shard by shard, and sizes every array
-    the gang shares. Then, each step, every worker takes a contiguous shard
-    of the batch's rows through ``forward_batch`` and ``backward``'s row
-    pass, this process takes the loss, the workers split the reductions by
-    parameter, and this process steps the optimizer on the shared
-    parameters. A row's bits do not depend on its shard and no sum is split,
-    so the result is the same bits for any number of workers.
+    Every step runs as two phases of a ``pool.Gang``, this process being
+    worker 0. In the first, the workers deal the batch's contiguous row parts
+    among themselves and take each through ``forward_batch`` and
+    ``backward``'s row pass; this process then takes the loss. In the second,
+    they deal the reductions, one per parameter group, and this process then
+    steps the optimizer on the shared parameters. The first step runs here
+    alone and sizes every array the gang shares; the gang forks after it
+    when the work pays for one worker per usable CPU (``pool.Gang.workers``),
+    and otherwise never forks. A row's bits do not depend on which process
+    computes it and no sum is split, so the result is the same bits for any
+    number of workers.
     """
     if windows.labels is None:
         raise ContractError("supervised training requires labeled windows")
@@ -718,7 +720,7 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     y_all = windows.labels.astype(np.float64)
     n, W = len(windows), config.window
     rows = min(config.batch_size, n)
-    # no shard has one row: a recurrent product of one row takes a
+    # no part has one row: a recurrent product of one row takes a
     # matrix-vector kernel that rounds unlike the GEMM of larger batches.
     # The first step runs here alone, so only the later steps pay for workers.
     later = n * config.epochs - rows
@@ -730,19 +732,6 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     params = {key: _filled(ws, "param." + key, p) for key, p in init_params(config).items()}
     state = AdamState.for_params(params, ws) if config.optimizer == "adam" else None
     shuffle_rng = make_rng(config.seed, _STREAM_SHUFFLE)
-
-    def update(grads):
-        if state is not None:
-            adam_step(params, grads, state, config.learning_rate)
-        else:
-            gd_step(params, grads, config.learning_rate)
-
-    def in_process(idx):
-        logits, trace = forward_batch(x_all[idx], params, config, workspace=ws)
-        loss = bce_loss(logits, y_all[idx])
-        update(backward(trace, y_all[idx], params, config))
-        return loss
-
     batch = shared_array(rows + 1, np.int64)  # the step's row count, then its window indices
     grads = _gradients(ws, params, config)
     tasks = _reductions(config)
@@ -756,43 +745,40 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     def rows_pass(worker):
         B = int(batch[0])
         parts = min(count, max(1, B // 2))
-        # before the fork, this process takes every shard in turn, so that
-        # its own arrays are sized for one shard
-        shards = range(parts) if gang.size == 1 else [worker] if worker < parts else []
         mine = workspace(worker)
-        for shard in shards:
-            lo, hi = B * shard // parts, B * (shard + 1) // parts
+        # before the fork this process deals itself every part in turn, so
+        # that its own arrays are sized for one part
+        for part in gang.deal(worker, parts):
+            lo, hi = B * part // parts, B * (part + 1) // parts
             mine.rows, mine.batch_rows = slice(lo, hi), B
             idx = batch[1 + lo : 1 + hi]
             _, trace = forward_batch(x_all[idx], params, config, workspace=mine)
             backward(trace, y_all[idx], params, config)
 
     def reduce_pass(worker):
-        for task in tasks[worker :: gang.size]:
-            _reduce(task, workspace(worker), int(batch[0]), W, config)
-
-    def on_gang(idx):
-        batch[0] = len(idx)
-        batch[1 : 1 + len(idx)] = idx
-        gang.run(0)
-        loss = bce_loss(ws.array("logits", (len(idx), W)), y_all[idx])
-        gang.run(1)
-        update(grads)
-        if gang.size < count:
-            gang.fork(count)
-        return loss
+        for task in gang.deal(worker, len(tasks)):
+            _reduce(tasks[task], workspace(worker), int(batch[0]), W, config)
 
     history: list[float] = []
     steps = 0
     with Gang([rows_pass, reduce_pass]) as gang:
-        step = on_gang if count > 1 else in_process
         for _ in range(config.epochs):
             order = shuffle_rng.permutation(n)
             total = 0.0
             for lo in range(0, n, config.batch_size):
                 idx = order[lo : lo + config.batch_size]
-                total += step(idx) * len(idx)
+                batch[0] = len(idx)
+                batch[1 : 1 + len(idx)] = idx
+                gang.run(0)
+                total += bce_loss(ws.array("logits", (len(idx), W)), y_all[idx]) * len(idx)
+                gang.run(1)
+                if state is not None:
+                    adam_step(params, grads, state, config.learning_rate)
+                else:
+                    gd_step(params, grads, config.learning_rate)
                 steps += 1
+                if steps == 1 and count > 1:  # the first step sized every shared array
+                    gang.fork(count)
             history.append(total / n)
     return TrainResult(params={key: p.copy() for key, p in params.items()},
                        loss_history=history, steps=steps)

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,17 @@ class AcceptanceRuns:
 @pytest.fixture(scope="session")
 def acceptance_runs():
     return AcceptanceRuns()
+
+
+@pytest.fixture
+def bounded():
+    """Fail a test that runs for more than a minute instead of hanging, as a
+    test that forks a gang would if a worker were lost."""
+    def expire(*_):
+        raise TimeoutError("no result within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

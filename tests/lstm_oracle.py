@@ -1,9 +1,9 @@
 """Reference implementations the fused code paths are checked against.
 
 These are the per-direction LSTM forward and backward, the batched forward,
-backward and windowed ``infer`` built on them, and the window-by-window
-``reassemble`` loop, kept as they were before the recurrence was fused, with
-the gates in the parameter order [i, f, g, o]. The embedding and LayerNorm
+backward, one-process ``train`` and windowed ``infer`` built on them, and the
+window-by-window ``reassemble`` loop, kept as they were before the recurrence
+was fused, with the gates in the parameter order [i, f, g, o]. The embedding and LayerNorm
 helpers are shared with ``standbench.stand``.
 ``layernorm`` is the one-vector LayerNorm the batched embedding is compared
 against.
@@ -17,7 +17,7 @@ import numpy as np
 
 from standbench import data, stand
 from standbench.exceptions import ConfigError
-from standbench.ndcore import gelu_grad, sigmoid
+from standbench.ndcore import gelu_grad, make_rng, sigmoid
 
 
 @dataclass
@@ -110,8 +110,7 @@ def lstm_dir_backward(cache: DirCache, dh_out, w_ih, w_hh):
     return dx, dw_ih, dw_hh, db
 
 
-def forward_batch(x, params, config, workspace=None):
-    """``workspace`` is accepted for ``stand.train``'s call and ignored."""
+def forward_batch(x, params, config):
     x = np.asarray(x, dtype=np.float64)
     h = x
     embed_caches = []
@@ -191,6 +190,33 @@ def backward(trace: Trace, labels, params, config):
             grads[f"embed.{layer}.beta"] = dbeta
             dh = da @ params[f"embed.{layer}.w"]
     return grads
+
+
+def train(windows, config):
+    """``stand.train``'s steps on this forward and backward, in one process:
+    its initial parameters, shuffle stream, per-window loss weighting and
+    optimizer steps."""
+    x_all, y_all = windows.values, windows.labels.astype(np.float64)
+    n = len(windows)
+    params = stand.init_params(config)
+    state = stand.AdamState.for_params(params)
+    shuffle_rng = make_rng(config.seed, stand._STREAM_SHUFFLE)
+    history, steps = [], 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        total = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            logits, trace = forward_batch(x_all[idx], params, config)
+            total += stand.bce_loss(logits, y_all[idx]) * len(idx)
+            grads = backward(trace, y_all[idx], params, config)
+            if config.optimizer == "adam":
+                stand.adam_step(params, grads, state, config.learning_rate)
+            else:
+                stand.gd_step(params, grads, config.learning_rate)
+            steps += 1
+        history.append(total / n)
+    return stand.TrainResult(params=params, loss_history=history, steps=steps)
 
 
 def reassemble(ws, window_scores):

@@ -2,7 +2,9 @@
 test oracles: the package's metrics must reproduce them bit for bit.
 
 Only the code paths that changed are kept here; events, EventSet and the
-report types are shared with the package.
+report types are shared with the package. ``pointwise_f1``, the F1 of one
+prediction, is the exhaustive oracle that ``best_f1``'s sweep is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ from standbench.metrics import (
     uaff_f1,
 )
 from standbench.ndcore import make_rng
+
+
+def pointwise_f1(pred, labels) -> float:
+    """F1 of a binary prediction against binary labels, on the 0-100 scale."""
+    p = np.asarray(pred, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    if p.shape != y.shape:
+        raise ConfigError("prediction and labels must have equal length")
+    tp = int(np.sum((p == 1) & (y == 1)))
+    denom = 2 * tp + int(np.sum((p == 1) & (y == 0))) + int(np.sum((p == 0) & (y == 1)))
+    return 100.0 * 2 * tp / denom if denom else 0.0
 
 
 def best_f1(scores, labels) -> tuple[float, float]:

@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import signal
 import struct
 import subprocess
 import sys
@@ -395,7 +394,7 @@ class TestProcessPool:
         assert forking == {"pool.py"}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
-    def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch):
+    def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch, bounded):
         # a grid worker that trained on a gang of its own would fork grandchildren
         log = tmp_path / "train.txt"  # forked workers append to it too
         real = stand.forward_batch
@@ -418,7 +417,8 @@ class TestProcessPool:
         assert {ppid for _, ppid in calls} == {os.getpid()}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
-    def test_dead_worker_exits_3_and_keeps_finished_groups(self, tmp_path, monkeypatch, capsys):
+    def test_dead_worker_exits_3_and_keeps_finished_groups(self, tmp_path, monkeypatch, capsys,
+                                                           bounded):
         out = tmp_path / "out"
         pids = tmp_path / "pids.txt"  # forked workers append to it
         real = bench._compute_group
@@ -435,18 +435,12 @@ class TestProcessPool:
 
         monkeypatch.setattr(bench, "_compute_group", dying)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("no result within 60 s"))
-        signal.alarm(60)
-        try:
-            detectors = [{"kind": "random"}, {"kind": "pca", "rank": 2}]
-            doc = {**small_config(tmp_path, detectors=detectors, seeds=(0, 1)).to_dict(),
-                   "output_dir": str(out)}
-            path = tmp_path / "grid.json"
-            path.write_text(json.dumps(doc))
-            assert cli.main(["bench", "--config", str(path)]) == 3
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        detectors = [{"kind": "random"}, {"kind": "pca", "rank": 2}]
+        doc = {**small_config(tmp_path, detectors=detectors, seeds=(0, 1)).to_dict(),
+               "output_dir": str(out)}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["bench", "--config", str(path)]) == 3
         assert "error: a worker died running task 1 of dying" in capsys.readouterr().err
         kept = sorted((out / "cells").glob("*.json"))
         assert len(kept) == 2 and not (out / "mini_results.json").exists()
@@ -887,14 +881,19 @@ class TestFittedCheckpoint:
             kinds.add(det.kind)
         assert kinds == set(baselines.DETECTOR_KINDS)
 
-    def test_truncated_checkpoint_is_ingest_error(self, tmp_path):
+    @staticmethod
+    def pca_checkpoint(tmp_path):
+        """A series's CSV path and the bytes of a pca checkpoint fitted on it."""
         ds = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
         data_path = tmp_path / "data.csv"
         write_csv(ds, data_path)
         det = baselines.build_detector("pca", rank=2).fit(ds.values[:300])
         model = tmp_path / "model.ckpt"
         bench.save_fitted(model, det, zscore_fit(ds, (0, 300)))
-        blob = model.read_bytes()
+        return data_path, model.read_bytes()
+
+    def test_truncated_checkpoint_is_ingest_error(self, tmp_path):
+        data_path, blob = self.pca_checkpoint(tmp_path)
         hlen = int.from_bytes(blob[4:8], "little")
         # inside the magic, the length field, the header, at its end, inside the payload
         for cut in (2, 6, 8, 8 + hlen // 2, 8 + hlen, 8 + hlen + 12, len(blob) - 1):
@@ -904,6 +903,23 @@ class TestFittedCheckpoint:
                 bench.load_fitted(bad)
             assert cli.main(["score", "--model", str(bad), "--data", str(data_path),
                              "--out", str(tmp_path / "s.csv")]) == 2
+
+    # more bytes than the file holds (a read would need 8 PB), a byte count
+    # past 2**64, and an empty tensor with a dimension numpy cannot index
+    @pytest.mark.parametrize("shape", [[10**15], [2**32, 2**32], [0, 2**70]])
+    def test_tensor_shape_beyond_the_file_is_ingest_error(self, tmp_path, shape):
+        data_path, blob = self.pca_checkpoint(tmp_path)
+        hlen = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + hlen])
+        header["tensors"][0]["shape"] = shape
+        text = json.dumps(header).encode()
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(checkpoint.MAGIC + struct.pack("<I", len(text)) + text + blob[8 + hlen :])
+        name = header["tensors"][0]["name"]
+        with pytest.raises(IngestError, match=f"huge.ckpt: tensor '{name}'"):
+            bench.load_fitted(bad)
+        assert cli.main(["score", "--model", str(bad), "--data", str(data_path),
+                         "--out", str(tmp_path / "s.csv")]) == 2
 
     @pytest.mark.parametrize("header", [b'{"version": 1}', b"\xff\xfe", b"[1, 2]",
                                         b'{"version": 1, "kind": "pca", "config": {},'

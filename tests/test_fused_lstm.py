@@ -35,6 +35,13 @@ def batch(config, B=128, seed=0):
     return x, y
 
 
+def assert_same_training(got, want):
+    """The same loss history and parameters, byte for byte."""
+    assert got.loss_history == want.loss_history
+    for key in want.params:
+        assert got.params[key].tobytes() == want.params[key].tobytes(), key
+
+
 class TestTrainingPassBitwise:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_logits_and_gradients_equal_oracle(self, name):
@@ -50,19 +57,13 @@ class TestTrainingPassBitwise:
         for key in params:
             assert grads[key].tobytes() == ref_grads[key].tobytes(), key
 
-    def test_loss_history_equals_oracle_training(self, monkeypatch):
+    def test_loss_history_equals_oracle_training(self, bounded):
         cfg = stand.StandConfig(input_channels=3, d_model=4, window=6, epochs=3,
                                 batch_size=8, seed=2)
         spec = data.SyntheticSpec(T=80, C=3, seed=4, anomalies=(
             {"kind": "spike", "start": 30, "duration": 5, "magnitude": 6.0},))
         ws = data.make_windows(data.generate_synthetic(spec), cfg.window, 2)
-        fused = stand.train(ws, cfg)
-        monkeypatch.setattr(stand, "forward_batch", oracle.forward_batch)
-        monkeypatch.setattr(stand, "backward", oracle.backward)
-        ref = stand.train(ws, cfg)
-        assert fused.loss_history == ref.loss_history
-        for key in ref.params:
-            assert fused.params[key].tobytes() == ref.params[key].tobytes()
+        assert_same_training(stand.train(ws, cfg), oracle.train(ws, cfg))
 
 
 class TestReusedWorkspace:
@@ -82,20 +83,13 @@ class TestReusedWorkspace:
             for key in params:
                 assert grads[key].tobytes() == ref_grads[key].tobytes(), (B, key)
 
-    def test_training_with_short_last_batch_equals_oracle(self, monkeypatch):
+    def test_training_with_short_last_batch_equals_oracle(self, bounded):
         cfg = acceptance_size_config(epochs=2, batch_size=128)
         spec = data.SyntheticSpec(T=940, C=8, seed=5, anomalies=(
             {"kind": "spike", "start": 300, "duration": 40, "magnitude": 6.0},))
         ws = data.make_windows(data.generate_synthetic(spec), cfg.window, 3)
         assert len(ws) % cfg.batch_size not in (0, 1)
-        fused = stand.train(ws, cfg)
-        monkeypatch.setattr(stand, "forward_batch", oracle.forward_batch)
-        monkeypatch.setattr(stand, "backward", oracle.backward)
-        monkeypatch.setattr(pool, "usable_cpus", lambda: 1)  # the oracle knows no gang shards
-        ref = stand.train(ws, cfg)
-        assert fused.loss_history == ref.loss_history
-        for key in ref.params:
-            assert fused.params[key].tobytes() == ref.params[key].tobytes()
+        assert_same_training(stand.train(ws, cfg), oracle.train(ws, cfg))
 
 
 class TestInferAgainstWindowedOracle:

@@ -9,20 +9,8 @@ import pytest
 
 from standbench import pool
 
-pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the gang forks")
-
-
-@pytest.fixture(autouse=True)
-def bounded():
-    """Fail a test that runs for more than a minute instead of hanging."""
-    def expire(*_):
-        raise TimeoutError("no result within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+pytestmark = [pytest.mark.skipif(not hasattr(os, "fork"), reason="the gang forks"),
+              pytest.mark.usefixtures("bounded")]
 
 
 def test_deal_hands_out_every_task_once_for_any_count():

@@ -1,6 +1,5 @@
 import hashlib
 import os
-import signal
 
 import numpy as np
 import pytest
@@ -267,16 +266,12 @@ def logged_calls(log):
 
 
 @pytest.fixture
-def bounded():
-    """Fail a test that runs for more than a minute instead of hanging."""
-    def expire(*_):
-        raise TimeoutError("no result within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+def started(monkeypatch):
+    """The worker count of every gang that forks, in order."""
+    counts, fork = [], pool.Gang.fork
+    monkeypatch.setattr(pool.Gang, "fork",
+                        lambda gang, count: fork(gang, count) or counts.append(count))
+    return counts
 
 
 @pytest.fixture
@@ -286,24 +281,27 @@ def one_blas_thread(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the training gang forks")
-@pytest.mark.usefixtures("one_blas_thread")
+@pytest.mark.usefixtures("one_blas_thread", "bounded")
 class TestTrainingGang:
     @pytest.mark.parametrize("name", sorted(GANG_CASES))
-    def test_bitwise_equal_for_any_worker_count(self, name, monkeypatch, logged_forward, bounded):
+    def test_bitwise_equal_for_any_worker_count(self, name, monkeypatch, logged_forward, started):
         changes, T, stride, want = GANG_CASES[name]
         cfg = stand.StandConfig(**{**GANG_BASE, **changes})
         ws = gang_windows(T, cfg, stride)
         monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)  # a gang for any work
         for cpus in (1, 2, 3):  # three workers on fewer cores too
             monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+            started.clear()
             assert train_digest(stand.train(ws, cfg)) == want, cpus
             calls = logged_calls(logged_forward)
             assert sum(rows for _, _, rows in calls) == len(ws) * cfg.epochs
             assert all(rows >= 2 or rows == len(ws) % cfg.batch_size for _, _, rows in calls)
-            # this process is worker 0; the others are its forked children
-            pids = {pid for pid, _, _ in calls}
-            assert os.getpid() in pids
-            assert len(pids) == min(cpus, cfg.batch_size // 2)
+            # the parts are dealt, so any worker may compute any of them: this
+            # process, worker 0, computes the first step, the others are its
+            # forked children
+            count = min(cpus, cfg.batch_size // 2)
+            assert started == ([count] if count > 1 else [])
+            assert os.getpid() in {pid for pid, _, _ in calls}
             assert {ppid for pid, ppid, _ in calls if pid != os.getpid()} <= {os.getpid()}
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -319,15 +317,12 @@ class TestTrainingGang:
 
     @pytest.mark.parametrize("epochs, forks", [(1, []), (2, [2])])
     def test_only_the_steps_after_the_first_pay_for_the_gang(self, epochs, forks, monkeypatch,
-                                                             bounded):
+                                                             started):
         # the first step runs in this process alone, so a one-step training
         # forks no gang, whatever its work
         cfg = stand.StandConfig(**{**GANG_BASE, "epochs": epochs, "batch_size": 128})
-        started, fork = [], pool.Gang.fork
         monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(pool.Gang, "fork",
-                            lambda gang, count: fork(gang, count) or started.append(count))
         stand.train(gang_windows(198, cfg), cfg)  # 96 windows, one batch an epoch
         assert started == forks
 
@@ -342,30 +337,35 @@ class TestTrainingGang:
         assert pool.workers(64, 400 * per_window / 3) == 2  # infer pools from less
 
     @pytest.mark.parametrize("death", ["exit", "raise"])
-    def test_dead_worker_is_an_error_and_leaves_no_child(self, death, monkeypatch, logged_forward,
-                                                         bounded):
+    def test_dead_worker_is_an_error_and_leaves_no_child(self, death, monkeypatch):
         cfg = stand.StandConfig(**GANG_BASE)
-        parent, calls = os.getpid(), []
-        logging = stand.forward_batch
+        parent, calls, children = os.getpid(), [], []
+        real_forward, real_fork = stand.forward_batch, os.fork
 
         def dying(x, params, config, workspace=None):
-            if os.getpid() != parent:  # a worker dies in its second step
+            if os.getpid() != parent:  # a worker dies in its second row part
                 calls.append(len(x))
             if len(calls) == 2:
                 if death == "exit":
                     os._exit(7)
                 raise RuntimeError("worker lost")
-            return logging(x, params, config, workspace=workspace)
+            return real_forward(x, params, config, workspace=workspace)
+
+        def forking():
+            children.append(real_fork())
+            return children[-1]
 
         monkeypatch.setattr(stand, "forward_batch", dying)
+        monkeypatch.setattr(os, "fork", forking)
         monkeypatch.setattr(pool, "WORK_PER_WORKER", 1e-9)
         monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
-        what = "died" if death == "exit" else "failed: RuntimeError: worker lost"
-        with pytest.raises(WorkerError, match=f"gang worker [12] {what} in phase rows_pass"):
+        # a worker that dies held a dealt row part; one that raises names its error
+        what = (r"a worker died running task \d of rows_pass" if death == "exit"
+                else "gang worker [12] failed: RuntimeError: worker lost in phase rows_pass")
+        with pytest.raises(WorkerError, match=what):
             stand.train(gang_windows(198, cfg), cfg)
-        workers = {pid for pid, _, _ in logged_calls(logged_forward)} - {parent}
-        assert len(workers) == 2
-        for pid in workers:  # stopped and reaped: not even a zombie is left
+        assert len(children) == 2
+        for pid in children:  # stopped and reaped: not even a zombie is left
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
