@@ -14,9 +14,18 @@ Submodules:
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# One BLAS thread per process unless the user chose a count, so that the gangs
+# of ``pool`` take the cores. OpenBLAS reads this once, when numpy loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .data import SyntheticSpec, TimeSeriesDataset, generate_synthetic, load_csv, prefix_split
 from .metrics import MetricReport, MetricsConfig, evaluate
-from .stand import StandConfig, forward, infer, train
+from .stand import StandConfig, infer, train
 
 __all__ = [
     "__version__",
@@ -29,7 +38,6 @@ __all__ = [
     "MetricsConfig",
     "evaluate",
     "StandConfig",
-    "forward",
     "infer",
     "train",
 ]

@@ -257,10 +257,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     """Run every configured cell, reusing cached ones; returns (table, had_failures).
 
     Uncached cells are computed in groups of one (dataset, run seed), so each
-    series is materialized once. Several groups run on ``pool.each``'s forked
-    workers, one per usable CPU at most, which take them one at a time:
-    forked workers inherit this process's modules and numeric setup, so a
-    cell gets the same bits in either place. This process computes no group.
+    series is materialized once. When ``pool.workers`` allows it, several
+    groups run on ``pool.each``'s forked workers, one per usable CPU at most,
+    which take them one at a time while this process computes none; they
+    inherit its modules and numeric setup, so a cell gets the same bits.
     Each cell's file is written as soon as the cell is computed; then every
     cell, cached or not, is read back through ``read_cell`` into the tables,
     rows in config order.

@@ -24,6 +24,7 @@ try:
 except ImportError:  # a platform without it has no os.fork either, so nothing forks
     fcntl = None
 
+from . import _BLAS_THREAD_VARS
 from .exceptions import WorkerError
 
 _job = None  # in a forked worker, the Gang it works for
@@ -33,11 +34,6 @@ _job = None  # in a forked worker, the Gang it works for
 # on one 2-core machine, a two-worker ``stand.infer`` (d=32) lost to an
 # in-process one at 7.5e7 of work, broke even at 1.5e8 and won from 3e8.
 WORK_PER_WORKER = 1e8
-# How many times that work a worker needs when BLAS runs several threads in
-# each process, whose threads then share the cores: there a two-worker
-# ``infer`` (d=32, T=18000) won from 2.4e9 of work (stride 4 or less), broke
-# even at 1.6e9-1.9e9 and took twice as long at 1.2e9 (stride 8).
-THREADED_BLAS_WORK = 10
 # How many times that work a worker of a lockstep ``Gang`` needs, as training
 # waits for its slowest worker twice a step. Timed in alternation on the same
 # machine, a two-worker training (d=32 and 64, batch 128) lost at 2.5e8 of
@@ -60,25 +56,26 @@ def usable_cpus() -> int:
 
 
 def workers(tasks: int, work: float | None = None) -> int:
-    """How many workers to start for this many tasks; 1 means run them
-    in-process: one task or one usable CPU, no ``os.fork``, already inside a
-    worker (a worker that forked again would leave grandchildren), or too
-    little ``work`` (estimated flops of all tasks, if given) for more than
-    one worker to pay for itself."""
-    if tasks < 2 or not hasattr(os, "fork") or _job is not None:
+    """How many workers to start for this many tasks, the one rule for every
+    fork; 1 means run them in-process: one task or one usable CPU, no
+    ``os.fork``, already inside a worker (a worker that forked again would
+    leave grandchildren), BLAS running several threads per process (on 2
+    cores a two-worker training then took 3.4-3.8 s against 2.0 s in one
+    process), or too little ``work`` (estimated flops of all tasks, if
+    given) for more than one worker to pay for itself."""
+    if tasks < 2 or not hasattr(os, "fork") or _job is not None or blas_threads() > 1:
         return 1
     count = min(tasks, usable_cpus())
     if work is None:
         return count
-    per_worker = WORK_PER_WORKER * (1 if blas_threads() == 1 else THREADED_BLAS_WORK)
-    return max(1, min(count, int(work // per_worker)))
+    return max(1, min(count, int(work // WORK_PER_WORKER)))
 
 
 def blas_threads() -> int:
     """The threads BLAS runs each product on in one process, as OpenBLAS
     reads them from the environment at start-up: one per usable CPU when
     none of its variables is set."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in _BLAS_THREAD_VARS:
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
@@ -97,8 +94,9 @@ def shared_array(shape, dtype=np.float64) -> np.ndarray:
 
 def each(fn, tasks: list) -> None:
     """Call ``fn(*task)`` for every task, on ``workers(len(tasks))`` forked
-    workers that deal the tasks among themselves. This process computes none
-    of them: it only waits, so what a task makes it writes itself.
+    workers that deal the tasks among themselves, or in this process when
+    that is one. Beside forked workers this process computes no task: it only
+    waits, so what a task makes it writes itself.
 
     In-process, an exception from a task is raised with its own type and no
     task starts after it. On workers, a task that raises or a worker that
@@ -107,19 +105,16 @@ def each(fn, tasks: list) -> None:
     another. Every worker is reaped before this returns or raises.
     """
     count = workers(len(tasks))
-    if count == 1:
-        for task in tasks:
-            fn(*task)
-        return
 
     def deal(worker):
-        if worker:  # this process, worker 0, takes no task
+        if worker or count == 1:  # a forked gang's worker 0 only waits
             for index in gang.deal(worker, len(tasks)):
                 fn(*tasks[index])
 
     deal.__name__ = fn.__name__  # a worker's error names fn
     with Gang([deal]) as gang:
-        gang.fork(count + 1)
+        if count > 1:
+            gang.fork(count + 1)
         gang.run(0)
 
 
@@ -140,15 +135,6 @@ class Gang:
     exception, or the task or phase it died in. Leaving the ``with`` block
     halts the queue and reaps every worker once it has ended its phase.
     """
-
-    @staticmethod
-    def workers(tasks: int, work: float) -> int:
-        """``workers(tasks, work / LOCKSTEP_WORK)`` when BLAS runs one
-        thread per process, else 1. The phases run in lockstep, so a worker
-        whose core another process's BLAS thread takes holds up every step:
-        with two BLAS threads per process, a two-worker training took
-        3.4-3.8 s on a 2-core machine against 2.0 s in one process."""
-        return workers(tasks, work / LOCKSTEP_WORK) if blas_threads() == 1 else 1
 
     def __init__(self, phases: list):
         self.phases = phases

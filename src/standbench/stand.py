@@ -25,7 +25,7 @@ import numpy as np
 from .data import WindowSet, reassemble, window_starts
 from .exceptions import ConfigError, ContractError, config_bool, config_float, config_int
 from .ndcore import gelu, gelu_grad, make_rng, sigmoid
-from .pool import Gang, shared_array, workers
+from .pool import LOCKSTEP_WORK, Gang, shared_array, workers
 
 LAYERNORM_EPS = 1e-5
 ADAM_BETA1 = 0.9
@@ -399,12 +399,6 @@ def forward_batch(
     )
 
 
-def forward(x, params, config: StandConfig) -> tuple[np.ndarray, ForwardTrace]:
-    """Single-window forward over (T, C); returns (logits (T,), trace)."""
-    logits, trace = forward_batch(np.asarray(x, dtype=np.float64)[None], params, config)
-    return logits[0], trace
-
-
 # ---------------------------------------------------------------------------
 # loss and backward
 # ---------------------------------------------------------------------------
@@ -477,7 +471,7 @@ def _lstm_recurrence_backward(cache: _LstmCache, dh_steps, w_hh, dz_all):
 def backward(
     trace: ForwardTrace, labels, params: dict[str, np.ndarray], config: StandConfig
 ) -> dict[str, np.ndarray] | None:
-    """Exact gradients of bce_loss(forward(x)) for every parameter tensor.
+    """Exact gradients of bce_loss(forward_batch(x)) for every parameter tensor.
 
     A row pass (``_backward_rows``) and then the reductions (``_reduce``).
     The gradients are arrays of the trace's workspace. A gang worker's
@@ -485,8 +479,6 @@ def backward(
     gang sums over the whole batch afterwards, and this returns None.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[None]
     if y.shape != trace.logits.shape:
         raise ConfigError(f"labels {y.shape} do not match logits {trace.logits.shape}")
     ws = trace.workspace
@@ -643,13 +635,10 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], ws: _Workspace | None = None) -> "AdamState":
-        """Zero moments, as arrays of ``ws`` when one is given."""
-        def zeros(name, p):
-            return np.zeros_like(p) if ws is None else _filled(ws, name, np.zeros_like(p))
-
-        return cls(step=0, m={k: zeros("adam.m." + k, p) for k, p in params.items()},
-                   v={k: zeros("adam.v." + k, p) for k, p in params.items()})
+    def for_params(cls, params: dict[str, np.ndarray], ws: _Workspace) -> "AdamState":
+        """Zero moments, as arrays of ``ws``."""
+        return cls(m={k: _filled(ws, "adam.m." + k, np.zeros_like(p)) for k, p in params.items()},
+                   v={k: _filled(ws, "adam.v." + k, np.zeros_like(p)) for k, p in params.items()})
 
 
 def _filled(ws: _Workspace, name: str, value: np.ndarray) -> np.ndarray:
@@ -704,7 +693,7 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     they deal the reductions, one per parameter group, and this process then
     steps the optimizer on the shared parameters. The first step runs here
     alone and sizes every array the gang shares; the gang forks after it
-    when the work pays for one worker per usable CPU (``pool.Gang.workers``),
+    when the work pays for one worker per usable CPU (``pool.workers``),
     and otherwise never forks. A row's bits do not depend on which process
     computes it and no sum is split, so the result is the same bits for any
     number of workers.
@@ -724,7 +713,7 @@ def train(windows: WindowSet, config: StandConfig) -> TrainResult:
     # matrix-vector kernel that rounds unlike the GEMM of larger batches.
     # The first step runs here alone, so only the later steps pay for workers.
     later = n * config.epochs - rows
-    count = Gang.workers(rows // 2, 3 * flop_estimate(config, W).total * later)
+    count = workers(rows // 2, 3 * flop_estimate(config, W).total * later / LOCKSTEP_WORK)
 
     # the parameters, moments and gradients are workspace arrays, so the
     # gang's workers read what this process's optimizer writes

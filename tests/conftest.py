@@ -9,7 +9,7 @@ from family import (
     acceptance_spec,
     stand_config,
 )
-from standbench import baselines, data, stand
+from standbench import baselines, data, pool, stand
 from standbench.metrics import MetricsConfig, evaluate
 
 
@@ -105,3 +105,11 @@ def bounded():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Run as if BLAS ran one thread per process, the package's default. pytest
+    loads numpy first, so the package leaves BLAS at what the environment
+    says, one thread per CPU when it says nothing, and then nothing forks."""
+    monkeypatch.setattr(pool, "blas_threads", lambda: 1)

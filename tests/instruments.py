@@ -1,11 +1,15 @@
 """Acceptance instruments that drive the detector from outside: the
-monotone-GD learning-rate calibration (criterion 2) and the interleaved
-forward timing (criterion 3)."""
+monotone-GD learning-rate calibration (criterion 2), the interleaved
+forward timing (criterion 3), and a fresh interpreter to run them in."""
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import standbench
 from standbench import stand
 from standbench.data import WindowSet
 from standbench.exceptions import ConfigError, ContractError
@@ -54,14 +58,26 @@ def timing_probe(config: stand.StandConfig, lengths, repeats: int = 11, seed: in
     """
     rng = make_rng(seed)
     params = stand.init_params(config)
-    inputs = [rng.standard_normal((T, config.input_channels)) for T in lengths]
+    inputs = [rng.standard_normal((T, config.input_channels))[None] for T in lengths]
     for x in inputs:
-        stand.forward(x, params, config)
+        stand.forward_batch(x, params, config)
     times = np.empty((repeats, len(lengths)))
     for r in range(repeats):
         order = range(len(lengths)) if r % 2 == 0 else reversed(range(len(lengths)))
         for j in order:
             t0 = time.perf_counter()
-            stand.forward(inputs[j], params, config)
+            stand.forward_batch(inputs[j], params, config)
             times[r, j] = time.perf_counter() - t0
     return times
+
+
+def fresh_interpreter(code: str, *args: str, **env: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new interpreter that can
+    import this directory's modules, with no BLAS thread variable set but
+    those given in ``env``."""
+    env = {**{k: v for k, v in os.environ.items() if k not in standbench._BLAS_THREAD_VARS},
+           **env}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env=env).stdout

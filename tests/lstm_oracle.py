@@ -199,7 +199,7 @@ def train(windows, config):
     x_all, y_all = windows.values, windows.labels.astype(np.float64)
     n = len(windows)
     params = stand.init_params(config)
-    state = stand.AdamState.for_params(params)
+    state = stand.AdamState.for_params(params, stand._Workspace())
     shuffle_rng = make_rng(config.seed, stand._STREAM_SHUFFLE)
     history, steps = [], 0
     for _ in range(config.epochs):

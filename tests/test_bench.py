@@ -186,7 +186,7 @@ class TestRunExperiment:
 
 
 @pytest.fixture(params=["in_process", "pool"])
-def grid_path(request, monkeypatch):
+def grid_path(request, monkeypatch, one_blas_thread):
     """Run a grid's (dataset, seed) groups in this process, or on two forked workers."""
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2 if request.param == "pool" else 1)
     return request.param
@@ -285,6 +285,7 @@ class TestNumericFailures:
 
 
 class TestProcessPool:
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_pool_and_in_process_write_identical_files(self, tmp_path, monkeypatch):
         second = {**small_spec_dict(seed=7), "name": "other"}
         files = {}
@@ -305,6 +306,7 @@ class TestProcessPool:
         assert len(files[1]) == 16 + 3 and files[2] == files[1]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_stand_cells_score_in_process_inside_workers(self, tmp_path, monkeypatch):
         # a grid worker that scored on a gang of its own would fork grandchildren
         log = tmp_path / "infer.txt"  # forked workers append to it too
@@ -374,24 +376,43 @@ class TestProcessPool:
         # an infer gang, then a grid's two workers and this process waiting
         assert out.strip() == ("[2, 3] []" if hasattr(os, "fork") else "[] []")
 
+    @staticmethod
+    def package_modules():
+        """(file name, syntax tree) of every module of the package."""
+        package = os.path.dirname(bench.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    yield name, ast.parse(fh.read())
+
     def test_only_pool_forks(self):
         # the modules that name os.fork (or os.forkpty), or import it from os
-        package = os.path.dirname(bench.__file__)
         forking = set()
-        for name in sorted(os.listdir(package)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                for node in ast.walk(ast.parse(fh.read())):
-                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                        names = [node.attr] if node.value.id == "os" else []
-                    elif isinstance(node, ast.ImportFrom) and node.module == "os":
-                        names = [alias.name for alias in node.names]
-                    else:
-                        names = []
-                    if any(n.startswith("fork") for n in names):
-                        forking.add(name)
+        for name, tree in self.package_modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = [node.attr] if node.value.id == "os" else []
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = []
+                if any(n.startswith("fork") for n in names):
+                    forking.add(name)
         assert forking == {"pool.py"}
+
+    def test_only_pool_workers_reads_blas_threads(self):
+        # one rule decides every fork; another reader of the BLAS threads
+        # would be a second rule. Each reader is named by its innermost function.
+        readers = set()
+        for name, tree in self.package_modules():
+            functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if "blas_threads" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      node.name if isinstance(node, ast.alias) else None):
+                    around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    readers.add((name, max(around, key=lambda f: f.lineno).name
+                                 if around else None))
+        assert readers == {("pool.py", "workers")}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
     def test_training_inside_workers_stays_in_process(self, tmp_path, monkeypatch, bounded):
@@ -417,16 +438,18 @@ class TestProcessPool:
         assert {ppid for _, ppid in calls} == {os.getpid()}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="grids pool only where os.fork exists")
+    @pytest.mark.usefixtures("one_blas_thread")
     def test_dead_worker_exits_3_and_keeps_finished_groups(self, tmp_path, monkeypatch, capsys,
                                                            bounded):
         out = tmp_path / "out"
         pids = tmp_path / "pids.txt"  # forked workers append to it
-        real = bench._compute_group
+        real, parent = bench._compute_group, os.getpid()
 
         def dying(dataset_entry, cells, config):
             with open(pids, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            if cells[0][-1] == 1:  # the seed-1 group dies once seed 0's cells are written
+            # the seed-1 group dies once seed 0's cells are written, in a worker
+            if cells[0][-1] == 1 and os.getpid() != parent:
                 deadline, cells_dir = time.monotonic() + 30, out / "cells"
                 while len(list(cells_dir.glob("*.json"))) < 2 and time.monotonic() < deadline:
                     time.sleep(0.01)

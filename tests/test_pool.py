@@ -31,6 +31,7 @@ def test_deal_hands_out_every_task_once_for_any_count():
             assert (taken.sum(axis=0) == 1).all()
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 def test_each_raises_a_tasks_error_and_starts_no_task_after_it(monkeypatch):
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     started = pool.shared_array(20, np.int64)
@@ -47,6 +48,7 @@ def test_each_raises_a_tasks_error_and_starts_no_task_after_it(monkeypatch):
     assert started[:5].sum() >= 4 and started[5:].sum() == 0
 
 
+@pytest.mark.usefixtures("one_blas_thread")
 def test_after_a_failure_the_other_worker_ends_its_task_and_takes_no_other(monkeypatch):
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     started = pool.shared_array(10, np.int64)
@@ -66,6 +68,25 @@ def test_after_a_failure_the_other_worker_ends_its_task_and_takes_no_other(monke
         pool.each(task, [(index,) for index in range(10)])
     # raised only after task 1 ran to its end, and no task started after the failure
     assert started[:2].all() and finished[1] == 1 and started[2:].sum() == 0
+
+
+def test_threaded_blas_runs_each_in_this_process(monkeypatch):
+    # BLAS threads would take the cores from the workers, so none is forked
+    monkeypatch.setattr(pool, "blas_threads", lambda: 2)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(pool.Gang, "fork", lambda gang, count: pytest.fail("forked"))
+    ran = []
+
+    def task(index, fails=False):
+        ran.append((index, os.getpid()))
+        if fails:
+            raise KeyError(f"task {index}")
+
+    pool.each(task, [(index,) for index in range(5)])
+    assert ran == [(index, os.getpid()) for index in range(5)]
+    with pytest.raises(KeyError, match="task 1"):  # its own type, as no worker ran it
+        pool.each(task, [(0,), (1, True), (2,)])
+    assert ran[5:] == [(0, os.getpid()), (1, os.getpid())]  # and no task started after it
 
 
 def test_a_worker_that_dies_taking_a_task_holds_up_no_other():

@@ -76,7 +76,7 @@ class TestEmbedForward:
         rng = make_rng(4)
         x = rng.standard_normal((8, 3))
         x[7] = x[1]
-        _, trace = stand.forward(x, p, cfg)
+        _, trace = stand.forward_batch(x[None], p, cfg)
         out = trace.h_embed[0]
         assert np.array_equal(out[7], out[1])
 
@@ -84,9 +84,9 @@ class TestEmbedForward:
         cfg = tiny_config(use_embedding=False, use_tem=False)
         p = stand.init_params(cfg)
         x = make_rng(5).standard_normal((6, 3))
-        logits, trace = stand.forward(x, p, cfg)
+        logits, trace = stand.forward_batch(x[None], p, cfg)
         assert np.array_equal(trace.h_embed[0], x)
-        assert np.allclose(logits, x @ p["head.w"] + p["head.b"][0])
+        assert np.allclose(logits[0], x @ p["head.w"] + p["head.b"][0])
 
     def test_single_layer_matches_composed_kernels(self):
         cfg = tiny_config(mlp_layers=1, d_model=3)
@@ -94,7 +94,7 @@ class TestEmbedForward:
         p["embed.0.w"] = np.eye(3)
         p["embed.0.b"] = np.zeros(3)
         x = make_rng(6).standard_normal((4, 3))
-        _, trace = stand.forward(x, p, cfg)
+        _, trace = stand.forward_batch(x[None], p, cfg)
         for t in range(4):
             expected = layernorm(gelu(x[t]), np.ones(3), np.zeros(3),
                                  eps=stand.LAYERNORM_EPS)
@@ -103,7 +103,7 @@ class TestEmbedForward:
 
 def encoder_output(x, p, cfg):
     """The temporal encoder's (T, width) output for one (T, C) window."""
-    _, trace = stand.forward(x, p, cfg)
+    _, trace = stand.forward_batch(x[None], p, cfg)
     return trace.h_enc[0]
 
 
@@ -151,7 +151,7 @@ class TestBilstmForward:
     def test_identity_when_tem_disabled(self):
         cfg = tiny_config(use_tem=False)
         p = stand.init_params(cfg)
-        _, trace = stand.forward(make_rng(4).standard_normal((6, 3)), p, cfg)
+        _, trace = stand.forward_batch(make_rng(4).standard_normal((6, 3))[None], p, cfg)
         assert trace.h_embed.shape == (1, 6, 4)
         assert np.array_equal(trace.h_enc, trace.h_embed)
 
@@ -162,7 +162,7 @@ class TestScoreForward:
         p = stand.init_params(cfg)
         p["head.w"] = np.zeros(8)
         p["head.b"] = np.array([1.5])
-        logits, _ = stand.forward(make_rng(4).standard_normal((6, 3)), p, cfg)
+        logits, _ = stand.forward_batch(make_rng(4).standard_normal((6, 3))[None], p, cfg)
         assert np.allclose(logits, 1.5)
 
     def test_linearity(self):
@@ -173,8 +173,8 @@ class TestScoreForward:
         p["head.b"] = np.array([0.3])
         doubled = {**p, "head.w": 2 * p["head.w"], "head.b": 2 * p["head.b"]}
         x = rng.standard_normal((5, 3))
-        assert np.allclose(stand.forward(x, doubled, cfg)[0],
-                           2 * stand.forward(x, p, cfg)[0], atol=1e-12)
+        assert np.allclose(stand.forward_batch(x[None], doubled, cfg)[0],
+                           2 * stand.forward_batch(x[None], p, cfg)[0], atol=1e-12)
 
     def test_dot_product_oracle(self):
         cfg = tiny_config()
@@ -182,9 +182,9 @@ class TestScoreForward:
         p = stand.init_params(cfg)
         p["head.w"] = rng.standard_normal(8)
         p["head.b"] = np.array([-0.2])
-        out, trace = stand.forward(rng.standard_normal((5, 3)), p, cfg)
+        out, trace = stand.forward_batch(rng.standard_normal((5, 3))[None], p, cfg)
         for t in range(5):
-            assert out[t] == pytest.approx(float(np.dot(trace.h_enc[0, t], p["head.w"]) - 0.2))
+            assert out[0, t] == pytest.approx(float(np.dot(trace.h_enc[0, t], p["head.w"]) - 0.2))
 
     def test_width_mismatch(self):
         cfg = tiny_config()
@@ -199,7 +199,7 @@ class TestForward:
         cfg = tiny_config()
         p = {k: np.zeros_like(v) for k, v in stand.init_params(cfg).items()}
         p["head.b"] = np.array([0.7])
-        logits, _ = stand.forward(make_rng(7).standard_normal((6, 3)), p, cfg)
+        logits, _ = stand.forward_batch(make_rng(7).standard_normal((6, 3))[None], p, cfg)
         assert np.allclose(logits, 0.7)
 
     def test_fully_ablated_is_affine(self):
@@ -208,9 +208,9 @@ class TestForward:
         rng = make_rng(8)
         x1 = rng.standard_normal((6, 3))
         x2 = rng.standard_normal((6, 3))
-        l1, _ = stand.forward(x1, p, cfg)
-        l2, _ = stand.forward(x2, p, cfg)
-        lmix, _ = stand.forward(0.5 * (x1 + x2), p, cfg)
+        l1, _ = stand.forward_batch(x1[None], p, cfg)
+        l2, _ = stand.forward_batch(x2[None], p, cfg)
+        lmix, _ = stand.forward_batch(0.5 * (x1 + x2)[None], p, cfg)
         assert np.allclose(lmix, 0.5 * (l1 + l2), atol=1e-12)
 
     def test_full_pipeline_matches_chained_ops(self):
@@ -219,7 +219,7 @@ class TestForward:
         cfg = tiny_config()
         p = stand.init_params(cfg)
         x = make_rng(9).standard_normal((6, 3))
-        logits, trace = stand.forward(x, p, cfg)
+        logits, trace = stand.forward_batch(x[None], p, cfg)
         h = x
         for i in range(cfg.mlp_layers):
             h = np.stack([layernorm(gelu(p[f"embed.{i}.w"] @ h_t + p[f"embed.{i}.b"]),
@@ -231,13 +231,13 @@ class TestForward:
         h_enc = np.concatenate([fwd, bwd], axis=1)
         assert np.allclose(trace.h_embed[0], h, atol=1e-12)
         assert np.allclose(trace.h_enc[0], h_enc, atol=1e-12)
-        assert np.allclose(logits, h_enc @ p["head.w"] + p["head.b"][0], atol=1e-12)
+        assert np.allclose(logits[0], h_enc @ p["head.w"] + p["head.b"][0], atol=1e-12)
 
     def test_wrong_channel_count(self):
         cfg = tiny_config()
         p = stand.init_params(cfg)
         with pytest.raises(ConfigError):
-            stand.forward(np.zeros((6, 4)), p, cfg)
+            stand.forward_batch(np.zeros((1, 6, 4)), p, cfg)
 
 
 class TestBceLoss:

@@ -1,10 +1,11 @@
 import hashlib
+import json
 import os
 
 import numpy as np
 import pytest
 
-from instruments import calibrate_gd_learning_rate, timing_probe
+from instruments import calibrate_gd_learning_rate, fresh_interpreter, timing_probe
 from standbench import data, pool, stand
 from standbench.exceptions import ConfigError, ContractError, WorkerError
 from standbench.ndcore import make_rng, sigmoid
@@ -19,8 +20,8 @@ def tiny_config(**kw):
 
 def finite_difference_grads(x, y, params, config, h=1e-4):
     def loss_at():
-        logits, _ = stand.forward(x, params, config)
-        return stand.bce_loss(logits, y)
+        logits, _ = stand.forward_batch(x[None], params, config)
+        return stand.bce_loss(logits, y[None])
 
     out = {}
     for key, tensor in params.items():
@@ -53,9 +54,9 @@ class TestBackward:
         rng = make_rng(1)
         x = rng.standard_normal((6, 3))
         y = np.array([0, 1, 0, 0, 1, 1], dtype=float)
-        logits, trace = stand.forward(x, p, cfg)
-        grads = stand.backward(trace, y, p, cfg)
-        residual = (sigmoid(logits) - y) / len(y)
+        logits, trace = stand.forward_batch(x[None], p, cfg)
+        grads = stand.backward(trace, y[None], p, cfg)
+        residual = (sigmoid(logits[0]) - y) / len(y)
         expected_w = residual @ trace.h_enc[0]
         assert np.allclose(grads["head.w"], expected_w, atol=1e-12)
         assert grads["head.b"][0] == pytest.approx(residual.sum(), abs=1e-14)
@@ -71,8 +72,8 @@ class TestBackward:
             p_s = dict(p)
             p_s["head.w"] = np.array([scale, 0.0, 0.0])
             p_s["head.b"] = np.zeros(1)
-            _, trace = stand.forward(x, p_s, cfg)
-            grads = stand.backward(trace, y, p_s, cfg)
+            _, trace = stand.forward_batch(x[None], p_s, cfg)
+            grads = stand.backward(trace, y[None], p_s, cfg)
             norms.append(max(np.abs(g).max() for g in grads.values()))
         assert norms[1] < 1e-10 < norms[0]
 
@@ -82,8 +83,8 @@ class TestBackward:
         rng = make_rng(7)
         x = rng.standard_normal((6, 3))
         y = np.array([0, 1, 1, 0, 0, 1], dtype=float)
-        _, trace = stand.forward(x, p, cfg)
-        analytic = stand.backward(trace, y, p, cfg)
+        _, trace = stand.forward_batch(x[None], p, cfg)
+        analytic = stand.backward(trace, y[None], p, cfg)
         numeric = finite_difference_grads(x, y, p, cfg)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -100,17 +101,17 @@ class TestBackward:
         rng = make_rng(17)
         x = rng.standard_normal((6, 3))
         y = np.array([1, 0, 1, 0, 1, 0], dtype=float)
-        _, trace = stand.forward(x, p, cfg)
-        analytic = stand.backward(trace, y, p, cfg)
+        _, trace = stand.forward_batch(x[None], p, cfg)
+        analytic = stand.backward(trace, y[None], p, cfg)
         numeric = finite_difference_grads(x, y, p, cfg)
         assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_stale_trace_rejected(self):
         cfg = tiny_config()
         p = stand.init_params(cfg)
-        _, trace = stand.forward(make_rng(0).standard_normal((6, 3)), p, cfg)
+        _, trace = stand.forward_batch(make_rng(0).standard_normal((1, 6, 3)), p, cfg)
         with pytest.raises(ConfigError):
-            stand.backward(trace, np.zeros(5), p, cfg)
+            stand.backward(trace, np.zeros((1, 5)), p, cfg)
 
 
 class TestOptimizers:
@@ -118,7 +119,7 @@ class TestOptimizers:
         cfg = tiny_config()
         p = stand.init_params(cfg)
         zeros = {k: np.zeros_like(v) for k, v in p.items()}
-        state = stand.AdamState.for_params(p)
+        state = stand.AdamState.for_params(p, stand._Workspace())
         after_adam = stand.adam_step(p, zeros, state, 0.1)
         after_gd = stand.gd_step(p, zeros, 0.1)
         for key in p:
@@ -137,7 +138,7 @@ class TestOptimizers:
         for scale in (1e-4, 1.0, 1e4):
             p = {"w": np.array([0.0])}
             g = {"w": np.array([scale])}
-            state = stand.AdamState.for_params(p)
+            state = stand.AdamState.for_params(p, stand._Workspace())
             out = stand.adam_step(p, g, state, 0.01)
             # bias-corrected first step is eta * g/|g| up to eps rounding
             assert abs(out["w"][0]) == pytest.approx(0.01, rel=1e-3)
@@ -145,7 +146,7 @@ class TestOptimizers:
     def test_adam_matches_reference_recurrence(self):
         rng = make_rng(3)
         p = {"w": rng.standard_normal(5)}
-        state = stand.AdamState.for_params(p)
+        state = stand.AdamState.for_params(p, stand._Workspace())
         m = np.zeros(5)
         v = np.zeros(5)
         ref = p["w"].copy()
@@ -274,12 +275,6 @@ def started(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def one_blas_thread(monkeypatch):
-    """Train as if BLAS ran one thread per process, as the benchmark sets it."""
-    monkeypatch.setattr(pool, "blas_threads", lambda: 1)
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the training gang forks")
 @pytest.mark.usefixtures("one_blas_thread", "bounded")
 class TestTrainingGang:
@@ -332,8 +327,8 @@ class TestTrainingGang:
         monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
         cfg = stand.StandConfig(input_channels=8, d_model=32, window=32)
         per_window = 3 * stand.flop_estimate(cfg, cfg.window).total
-        assert pool.Gang.workers(64, 400 * per_window) == 1
-        assert pool.Gang.workers(64, 512 * per_window) == 2
+        assert pool.workers(64, 400 * per_window / pool.LOCKSTEP_WORK) == 1
+        assert pool.workers(64, 512 * per_window / pool.LOCKSTEP_WORK) == 2
         assert pool.workers(64, 400 * per_window / 3) == 2  # infer pools from less
 
     @pytest.mark.parametrize("death", ["exit", "raise"])
@@ -381,15 +376,39 @@ def test_blas_threads_read_like_openblas(monkeypatch):
     assert pool.blas_threads() == 1
 
 
+# what a fresh interpreter's environment and pool.blas_threads read once it has
+# imported the package, with whatever ``before`` imports first
+THREADS_AFTER_IMPORT = """if True:
+    import json, os, sys
+    exec(sys.argv[1])
+    import standbench
+    from standbench import pool
+    print(json.dumps([{var: os.environ.get(var) for var in standbench._BLAS_THREAD_VARS},
+                      pool.blas_threads(), pool.usable_cpus()]))
+"""
+
+
+@pytest.mark.parametrize("before, env, want_vars, want_threads", [
+    ("", {}, {"OPENBLAS_NUM_THREADS": "1"}, 1),  # the package's default
+    ("", {"OMP_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}, 2),  # a user's count is kept
+    # numpy's BLAS already runs what the environment said: one thread per CPU
+    ("import numpy", {}, {}, None),
+], ids=["default", "users_count", "numpy_first"])
+def test_one_blas_thread_is_the_default(before, env, want_vars, want_threads):
+    got_vars, threads, cpus = json.loads(fresh_interpreter(THREADS_AFTER_IMPORT, before, **env))
+    assert {var: value for var, value in got_vars.items() if value is not None} == want_vars
+    assert threads == (want_threads or cpus)
+
+
 class TestInfer:
     def test_single_window_no_overlap_matches_forward(self):
         cfg = tiny_config()
         ws = labeled_windows(stride=6, window=6)
         result = stand.train(ws, tiny_config(epochs=1))
         x = ws.values[0]
-        logits, _ = stand.forward(x, result.params, cfg)
+        logits, _ = stand.forward_batch(x[None], result.params, cfg)
         scores = stand.infer(x, result.params, cfg, stride=cfg.window)
-        assert np.allclose(scores, logits, atol=1e-12)
+        assert np.allclose(scores, logits[0], atol=1e-12)
 
     def test_batch_grouping_invariance(self):
         cfg = tiny_config()
