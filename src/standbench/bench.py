@@ -13,7 +13,9 @@ reused.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -151,31 +153,6 @@ def fit_on_prefix(ds: TimeSeriesDataset, threshold: float, detector_entry: dict,
     else:
         detector.fit(train_vals)
     return detector, split, stats, norm
-
-
-def run_cell(
-    ds: TimeSeriesDataset,
-    threshold: float,
-    detector_entry: dict,
-    seed: int,
-    metrics_cfg: MetricsConfig,
-) -> MetricReport:
-    """One benchmark cell: split, normalize on the train prefix, fit, score, evaluate."""
-    detector, split, _, norm = fit_on_prefix(ds, threshold, detector_entry, seed)
-    lo = split.train_end
-    return evaluate(
-        detector.score(norm.values[lo:]),
-        norm.labels[lo:],
-        replace(metrics_cfg, seed=metrics_cfg.seed + seed),
-        metadata={
-            "detector": detector_label(detector_entry),
-            "dataset": "",
-            "threshold": threshold,
-            "run_seed": seed,
-            "train_end": split.train_end,
-            "train_rate": split.train_rate,
-        },
-    )
 
 
 @dataclass
@@ -337,14 +314,28 @@ def _compute_group(dataset_entry: dict, cells: list, config: ExperimentConfig) -
 
 def _compute_cell(series: TimeSeriesDataset | Exception, subset, threshold, detector_entry,
                   seed, config) -> CellRecord:
-    """One cell's record; ``series`` is the group's dataset, or the error that
+    """One cell's record: split, normalize on the train prefix, fit, score,
+    evaluate. ``series`` is the group's dataset, or the error that
     materializing it raised."""
     label = detector_label(detector_entry)
     try:
         if isinstance(series, Exception):
             raise series
-        report = run_cell(series, threshold, detector_entry, seed, config.metrics)
-        report.metadata["dataset"] = subset
+        detector, split, _, norm = fit_on_prefix(series, threshold, detector_entry, seed)
+        lo = split.train_end
+        report = evaluate(
+            detector.score(norm.values[lo:]),
+            norm.labels[lo:],
+            replace(config.metrics, seed=config.metrics.seed + seed),
+            metadata={
+                "detector": label,
+                "dataset": subset,
+                "threshold": threshold,
+                "run_seed": seed,
+                "train_end": split.train_end,
+                "train_rate": split.train_rate,
+            },
+        )
         return CellRecord(detector=label, dataset=subset, seed=seed, report=report)
     except WorkerError:  # a dead worker says nothing about the cell: cache no record
         raise
@@ -363,24 +354,35 @@ def render_table(table: ResultsTable, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table.to_dict(), sort_keys=True, indent=1) + "\n"
     if fmt == "csv":
-        lines = ["detector,dataset,seed," + ",".join(METRIC_COLUMNS) + ",threshold,status"]
+        rows = [["detector", "dataset", "seed", *METRIC_COLUMNS, "threshold", "status"]]
         for row in table.rows:
             if row.report is not None:
-                cells = [repr(getattr(row.report, m)) for m in METRIC_COLUMNS]
+                cells = [getattr(row.report, m) for m in METRIC_COLUMNS]
                 status = "ok"
-                tau = repr(row.report.threshold)
+                tau = row.report.threshold
             else:
-                reason = (row.error or "unknown").replace(",", ";").replace("\n", " ")
+                reason = (row.error or "unknown").replace("\n", " ")
                 cells = [f"FAILED({reason})"] * len(METRIC_COLUMNS)
                 status = f"FAILED({reason})"
                 tau = ""
-            lines.append(
-                ",".join([row.detector, row.dataset, str(row.seed)] + cells + [tau, status])
-            )
-        return "\n".join(lines) + "\n"
+            rows.append([row.detector, row.dataset, row.seed] + cells + [tau, status])
+        return _csv_text(rows)
     if fmt == "markdown":
         return _render_markdown(table)
     raise ConfigError(f"unknown report format '{fmt}'")
+
+
+def _csv_text(rows) -> str:
+    """Rows as ``csv.writer`` writes them, one line each: a field holding a
+    comma, a quote or a line break is quoted, and a float is its repr."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _md(text: str) -> str:
+    """A markdown table cell: a ``|`` in it would end the cell."""
+    return text.replace("|", "\\|")
 
 
 def _render_markdown(table: ResultsTable) -> str:
@@ -402,15 +404,15 @@ def _render_markdown(table: ResultsTable) -> str:
                 text = f"**{text}**"
             cells.append(text)
         lines.append(
-            f"| {entry['detector']} | {entry['dataset']} | {entry['n']} | "
+            f"| {_md(entry['detector'])} | {_md(entry['dataset'])} | {entry['n']} | "
             + " | ".join(cells)
             + f" | {entry['mean_score']['mean']:.2f} |"
         )
     failed = [r for r in table.rows if r.error is not None]
     for row in failed:
-        reason = (row.error or "unknown").replace("\n", " ")
+        reason = _md((row.error or "unknown").replace("\n", " "))
         lines.append(
-            f"| {row.detector} | {row.dataset} | seed {row.seed} | "
+            f"| {_md(row.detector)} | {_md(row.dataset)} | seed {row.seed} | "
             + " | ".join([f"FAILED({reason})"] * len(METRIC_COLUMNS))
             + " | - |"
         )
@@ -429,20 +431,16 @@ def gain_sweep(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     aggregated mean-of-six-metrics per (detector, dataset, threshold).
     """
     table, had_failures = run_experiment(config)
-    lines = ["detector,dataset,threshold,seed,mean_score"]
+    rows = [["detector", "dataset", "threshold", "seed", "mean_score"]]
     for row in table.ok_rows():
         base, threshold = row.dataset.rsplit("@", 1)
-        lines.append(
-            f"{row.detector},{base},{threshold},{row.seed},{row.report.mean_score()!r}"
-        )
-    lines.append("detector,dataset,threshold,mean,ci_low,ci_high")
+        rows.append([row.detector, base, threshold, row.seed, row.report.mean_score()])
+    rows.append(["detector", "dataset", "threshold", "mean", "ci_low", "ci_high"])
     for entry in table.aggregate():
         base, threshold = entry["dataset"].rsplit("@", 1)
         m = entry["mean_score"]
-        lines.append(
-            f"{entry['detector']},{base},{threshold},{m['mean']!r},{m['ci_low']!r},{m['ci_high']!r}"
-        )
-    atomic_write(os.path.join(config.output_dir, f"{config.name}_gain.csv"), "\n".join(lines) + "\n")
+        rows.append([entry["detector"], base, threshold, m["mean"], m["ci_low"], m["ci_high"]])
+    atomic_write(os.path.join(config.output_dir, f"{config.name}_gain.csv"), _csv_text(rows))
     return table, had_failures
 
 
@@ -489,18 +487,14 @@ def sensitivity_sweep(
     values = [int(v) for v in values]
     sub = sensitivity_config(config, axis, values)
     table, had_failures = run_experiment(sub)
-    lines = ["axis,value,dataset,metric,mean,ci_low,ci_high"]
+    rows = [["axis", "value", "dataset", "metric", "mean", "ci_low", "ci_high"]]
     for entry in table.aggregate():
         value = entry["detector"].split("=")[1].rstrip("]")
         for metric in METRIC_COLUMNS:
             m = entry[metric]
-            lines.append(
-                f"{axis},{value},{entry['dataset']},{metric},"
-                f"{m['mean']!r},{m['ci_low']!r},{m['ci_high']!r}"
-            )
-    atomic_write(
-        os.path.join(config.output_dir, f"{sub.name}_plotdata.csv"), "\n".join(lines) + "\n"
-    )
+            rows.append([axis, value, entry["dataset"], metric,
+                         m["mean"], m["ci_low"], m["ci_high"]])
+    atomic_write(os.path.join(config.output_dir, f"{sub.name}_plotdata.csv"), _csv_text(rows))
     return table, had_failures
 
 

@@ -77,7 +77,8 @@ def cmd_score(args) -> int:
     ds = load_csv(args.data, args.label_column)
     lo, hi = _parse_segment(args.segment, ds.length)
     try:
-        scores = detector.score(zscore_apply(ds, stats).values[lo:hi])
+        with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports it
+            scores = detector.score(zscore_apply(ds, stats).values[lo:hi])
     except ValueError as exc:  # checkpoint tensors that fit neither each other nor the data
         raise IngestError(f"{args.model} cannot score {args.data}: {exc}") from None
     if not np.isfinite(scores).all():  # finite tensors too large for this data overflow

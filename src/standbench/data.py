@@ -7,6 +7,7 @@ instance, so readers that share one never need locks.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from array import array
 from dataclasses import dataclass, field
@@ -217,67 +218,52 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        label_idx = None
-        if label_column is not None and label_column in header:
-            label_idx = header.index(label_column)
+        label_idx = header.index(label_column) if label_column in header else None
         chan_idx = [i for i in range(len(header)) if i != label_idx]
         if not chan_idx:
             raise IngestError(f"{path}: no value columns besides '{label_column}'")
         cells = _bulk_cells(path, len(header))
-        if cells is not None:
-            values = cells[:, chan_idx]
-            labels = cells[:, label_idx] if label_idx is not None else None
-            if np.all(np.isfinite(values)) and (
-                labels is None or np.all((labels == 0) | (labels == 1))
-            ):
-                return TimeSeriesDataset(
-                    name=name, values=values,
-                    labels=labels.astype(np.int64) if labels is not None else None,
-                )
-        # the row-by-row reader accepts what the bulk parse does not, and names
-        # the row and column of what neither accepts
-        rows, labels = [], []
-        for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}"
-                )
-            vals = np.empty(len(chan_idx))
-            for j, i in enumerate(chan_idx):
-                try:
-                    vals[j] = float(row[i])
-                except ValueError:
+        if cells is None:  # the row-by-row reader parses what the bulk parse does not
+            rows = []
+            for rownum, row in enumerate(reader, start=2):  # 1-based, header is row 1
+                if len(row) != len(header):
                     raise IngestError(
-                        f"{path}: row {rownum}, column '{header[i]}': "
-                        f"non-numeric cell {row[i]!r}"
-                    ) from None
-            if label_idx is not None:
-                cell = row[label_idx].strip()
-                try:
-                    lab = float(cell)
-                except ValueError:
-                    lab = -1.0
-                if lab not in (0.0, 1.0):
-                    raise IngestError(
-                        f"{path}: row {rownum}, column '{header[label_idx]}': "
-                        f"label must be 0 or 1, got {cell!r}"
+                        f"{path}: row {rownum}: expected {len(header)} cells, got {len(row)}"
                     )
-                labels.append(int(lab))
-            rows.append(vals)
-    if not rows:
+                rows.append([])
+                for i, cell in enumerate(row):
+                    try:
+                        rows[-1].append(float(cell))
+                    except ValueError:
+                        if i != label_idx:
+                            raise IngestError(
+                                f"{path}: row {rownum}, column '{header[i]}': "
+                                f"non-numeric cell {cell!r}"
+                            ) from None
+                        rows[-1].append(np.nan)  # the label check below quotes its text
+            cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
+    if not len(cells):
         raise IngestError(f"{path}: no data rows")
-    values = np.vstack(rows)
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        r, j = bad[0]
+    # data row r of the cells is file row r + 2: rows count from 1 at the header
+    values = cells[:, chan_idx]
+    if not np.all(np.isfinite(values)):
+        r, j = np.argwhere(~np.isfinite(values))[0]
         raise IngestError(
             f"{path}: row {r + 2}, column '{header[chan_idx[j]]}': "
             f"non-finite cell {float(values[r, j])!r}"
         )
+    labels = cells[:, label_idx] if label_idx is not None else None
+    if labels is not None and not np.all((labels == 0) | (labels == 1)):
+        r = int(np.flatnonzero((labels != 0) & (labels != 1))[0])
+        with open(path, newline="", encoding="utf-8") as fh:  # the cells keep no text
+            text = next(itertools.islice(csv.reader(fh), r + 1, None))[label_idx]
+        raise IngestError(
+            f"{path}: row {r + 2}, column '{header[label_idx]}': "
+            f"label must be 0 or 1, got {text.strip()!r}"
+        )
     return TimeSeriesDataset(
-        name=name,
-        values=values,
-        labels=np.array(labels, dtype=np.int64) if label_idx is not None else None,
+        name=name, values=values,
+        labels=labels.astype(np.int64) if labels is not None else None,
     )
 
 

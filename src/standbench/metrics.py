@@ -139,17 +139,6 @@ def _zone_bounds(events: EventSet) -> list[tuple[int, int]]:
     return [(bounds[j], bounds[j + 1]) for j in range(len(ivs))]
 
 
-def _as_predicted_mask(pred, T: int) -> np.ndarray:
-    if isinstance(pred, EventSet):
-        if pred.length != T:
-            raise ConfigError("predicted EventSet length does not match T")
-        return pred.to_labels() != 0
-    p = np.asarray(pred, dtype=np.int64)
-    if p.shape != (T,):
-        raise ConfigError(f"prediction must be a length-{T} 0/1 sequence or an EventSet")
-    return p != 0
-
-
 class _Zones:
     """Per-timestep zone-of-influence geometry of a truth event set.
 
@@ -252,7 +241,7 @@ def _affiliation(pred: np.ndarray, zones: _Zones) -> list[tuple[float, float]]:
     return out
 
 
-def affiliation_precision_recall(pred, truth: EventSet, T: int) -> tuple[float, float]:
+def affiliation_precision_recall(pred, truth: EventSet) -> tuple[float, float]:
     """Distance-based event precision/recall on the zone-of-influence partition.
 
     Precision: each predicted point in a zone is scored by the survival
@@ -260,27 +249,27 @@ def affiliation_precision_recall(pred, truth: EventSet, T: int) -> tuple[float, 
     from the zone's event; zone means are averaged over zones that contain
     predictions. Recall mirrors this with the roles swapped (event points
     scored against the zone's predicted points), averaging over all zones;
-    a zone without predictions contributes recall 0.
+    a zone without predictions contributes recall 0. ``pred`` is a 0/1
+    sequence of the truth's length.
     """
-    if truth.length != T:
-        raise ConfigError("truth EventSet length does not match T")
-    mask = _as_predicted_mask(pred, T)
-    return _affiliation(mask[None], _Zones(truth))[0]
+    p = np.asarray(pred, dtype=np.int64)
+    if p.shape != (truth.length,):
+        raise ConfigError(f"prediction must be a length-{truth.length} 0/1 sequence")
+    return _affiliation((p != 0)[None], _Zones(truth))[0]
 
 
-def affiliation_f1(pred, truth: EventSet, T: int) -> tuple[float, float, float]:
+def affiliation_f1(pred, truth: EventSet) -> tuple[float, float, float]:
     """Returns (precision, recall, f1), f1 on the 0-100 scale."""
-    precision, recall = affiliation_precision_recall(pred, truth, T)
+    precision, recall = affiliation_precision_recall(pred, truth)
     f1 = 100.0 * 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
 def affiliation_random_baseline(
-    truth: EventSet, T: int, positive_rate: float, draws: int = DEFAULT_MC_DRAWS, seed: int = 0
+    truth: EventSet, positive_rate: float, draws: int = DEFAULT_MC_DRAWS, seed: int = 0
 ) -> tuple[float, float]:
     """Expected affiliation precision/recall of a Bernoulli(positive_rate) predictor."""
-    if truth.length != T:
-        raise ConfigError("truth EventSet length does not match T")
+    T = truth.length
     zones = _Zones(truth)
     rng = make_rng(seed)
     # a (rows, T) block of uniforms continues the stream of `rows` successive
@@ -458,9 +447,9 @@ def evaluate(scores, labels, config: MetricsConfig | None = None,
     f1, tau = best_f1(s, y)
     pred = (s > tau).astype(np.int64)
     truth = events_from_labels(y)
-    precision, recall, aff = affiliation_f1(pred, truth, len(y))
+    precision, recall, aff = affiliation_f1(pred, truth)
     p0, r0 = affiliation_random_baseline(
-        truth, len(y), positive_rate=float(pred.mean()),
+        truth, positive_rate=float(pred.mean()),
         draws=config.mc_draws, seed=config.seed,
     )
     cfg_digest = hashlib.sha256(

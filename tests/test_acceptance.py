@@ -141,7 +141,7 @@ class TestAcceptance:
                 continue
             pred = (rng.uniform(size=T) < float(rng.uniform(0.05, 0.5))).astype(int)
             truth = metrics.events_from_labels(y)
-            p, r = metrics.affiliation_precision_recall(pred, truth, T)
+            p, r = metrics.affiliation_precision_recall(pred, truth)
             op, orr = oracle_affiliation(pred, truth, T)
             worst = max(worst, abs(p - op), abs(r - orr))
             checked += 1

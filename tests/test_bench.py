@@ -1,6 +1,9 @@
 import ast
+import csv
+import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -223,13 +226,13 @@ class TestSharedSeries:
 
     def test_cells_share_read_only_arrays(self, tmp_path, monkeypatch):
         seen = []
-        real = bench.run_cell
+        real = bench._compute_cell
 
         def recording(ds, *args, **kwargs):
             seen.append(ds)
             return real(ds, *args, **kwargs)
 
-        monkeypatch.setattr(bench, "run_cell", recording)
+        monkeypatch.setattr(bench, "_compute_cell", recording)
         cfg = small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "knn"}],
                            thresholds=(0.05, 0.1))
         bench.run_experiment(cfg)
@@ -261,8 +264,8 @@ class TestSharedSeries:
             entry = next(d for d in cfg.detectors if bench.detector_label(d) == row.detector)
             threshold = float(row.dataset.rsplit("@", 1)[1])
             ds = bench.materialize_dataset(cfg.datasets[0], row.seed)
-            report = bench.run_cell(ds, threshold, entry, row.seed, cfg.metrics)
-            assert report.values() == row.report.values()
+            record = bench._compute_cell(ds, row.dataset, threshold, entry, row.seed, cfg)
+            assert record.report.values() == row.report.values()
 
 
 class TestNumericFailures:
@@ -600,6 +603,33 @@ class TestSweeps:
             _, _, _, _, mean, lo, hi = line.split(",")
             assert float(lo) <= float(mean) <= float(hi)
 
+    def test_labels_needing_quotes_keep_every_column(self, tmp_path):
+        # a comma, a quote or a pipe in a label or a failure reason
+        detector, dataset = 'knn,k="3"|x', 'mini,"m"|y'
+        doc = small_config(tmp_path, thresholds=(0.1, 0.9)).to_dict()  # 0.9 cells fail
+        doc["datasets"] = [{"synthetic": {**small_spec_dict(), "name": dataset}}]
+        doc["detectors"] = [{"kind": "knn", "k": 3, "label": detector}]
+        cfg = ExperimentConfig.from_dict(doc)
+        bench.gain_sweep(cfg)
+        doc["detectors"] = [{**STAND, "label": detector}]
+        bench.sensitivity_sweep(ExperimentConfig.from_dict(doc), "window", [12, 16])
+        out = cfg.output_dir
+        for name in ("mini_results.csv", "mini_gain.csv", "mini_sens_window_plotdata.csv"):
+            with open(os.path.join(out, name), newline="") as fh:
+                rows = list(csv.reader(fh))
+            parts = [rows]
+            if name == "mini_gain.csv":  # the per-seed rows, then the aggregate's own header
+                cut = rows.index(["detector", "dataset", "threshold", "mean", "ci_low", "ci_high"])
+                parts = [rows[:cut], rows[cut:]]
+            for part in parts:
+                assert {len(row) for row in part} == {len(part[0])}, name
+            assert dataset in {cell.rsplit("@", 1)[0] for row in rows for cell in row}, name
+        with open(os.path.join(out, "mini_results.csv"), newline="") as fh:
+            assert {row[0] for row in list(csv.reader(fh))[1:]} == {detector}
+        with open(os.path.join(out, "mini_results.md")) as fh:
+            widths = {len(re.split(r"(?<!\\)\|", line)) for line in fh.read().splitlines()}
+        assert widths == {len(bench.METRIC_COLUMNS) + 6}
+
     def test_sensitivity_rejects_unknown_axis(self, tmp_path):
         cfg = small_config(tmp_path)
         with pytest.raises(ConfigError):
@@ -851,7 +881,47 @@ class TestCli:
         assert texts[0] == texts[1]
 
 
+# One small grid with every detector kind, stand included.
+PINNED_GRID = {
+    "name": "pinned",
+    "datasets": [{"synthetic": {"T": 800, "C": 3, "seed": 0, "name": "pinned", "anomalies": [
+        {"kind": "level_shift", "start": 100, "duration": 20, "magnitude": 2.0},
+        {"kind": "spike", "start": 400, "duration": 8, "magnitude": 6.0},
+        {"kind": "variance_burst", "start": 620, "duration": 25, "magnitude": 5.0}]}}],
+    "detectors": [{"kind": "random"}, {"kind": "pca", "rank": 2}, {"kind": "knn"},
+                  {"kind": "kmeans"}, {"kind": "logreg"},
+                  {"kind": "stand", "input_channels": 3, "d_model": 8, "window": 16, "epochs": 1}],
+    "split_thresholds": [0.05],
+    "seeds": [0],
+    "metrics": {"buffer_max": 4, "mc_draws": 8},
+}
+# CACHE_VERSION and the sha256 of each PINNED_GRID cell file, by detector. A
+# change that alters a cell fails here until it bumps CACHE_VERSION and re-pins
+# the digests, so no cache reuses a cell that older code computed. Like
+# GANG_CASES, the digests hold for one numpy/OpenBLAS build (numpy 2.4.6,
+# OpenBLAS 0.3.31).
+PINNED_CELLS = (3, {
+    "kmeans": "349124707cff3d2b",
+    "knn": "d04c700ef3a2b44f",
+    "logreg": "a81c54d811c472a6",
+    "pca": "9c91f07601d9bcb7",
+    "random": "39e7c8f9e8726b4e",
+    "stand": "868738d2c9a0f33a",
+})
+
+
 class TestCacheVersion:
+    def test_cells_match_pinned_digests(self, tmp_path):
+        cfg = ExperimentConfig.from_dict({**PINNED_GRID, "output_dir": str(tmp_path / "out")})
+        bench.run_experiment(cfg)
+        cells = os.path.join(cfg.output_dir, "cells")
+        digests = {}
+        for name in os.listdir(cells):
+            with open(os.path.join(cells, name), "rb") as fh:
+                blob = fh.read()
+            digests[json.loads(blob)["detector"]] = hashlib.sha256(blob).hexdigest()[:16]
+        assert (bench.CACHE_VERSION, digests) == PINNED_CELLS
+
     def test_version_bump_recomputes_cells(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path, detectors=[{"kind": "random"}])
         cells_dir = os.path.join(cfg.output_dir, "cells")

@@ -160,13 +160,13 @@ class TestAffiliation:
     def test_exact_prediction_is_perfect(self):
         y = np.array([0, 0, 1, 1, 0, 0, 0, 1, 0, 0])
         truth = metrics.events_from_labels(y)
-        p, r, f1 = metrics.affiliation_f1(y.copy(), truth, len(y))
+        p, r, f1 = metrics.affiliation_f1(y.copy(), truth)
         assert (p, r, f1) == (1.0, 1.0, 100.0)
 
     def test_no_predictions_zero(self):
         y = np.array([0, 1, 1, 0, 0])
         truth = metrics.events_from_labels(y)
-        p, r, f1 = metrics.affiliation_f1(np.zeros(5, dtype=int), truth, 5)
+        p, r, f1 = metrics.affiliation_f1(np.zeros(5, dtype=int), truth)
         assert r == 0.0 and f1 == 0.0
 
     def test_single_event_against_oracle(self):
@@ -175,7 +175,7 @@ class TestAffiliation:
         pred = np.zeros(100, dtype=int)
         pred[45:55] = 1
         truth = metrics.events_from_labels(y)
-        p, r = metrics.affiliation_precision_recall(pred, truth, 100)
+        p, r = metrics.affiliation_precision_recall(pred, truth)
         op, orr = oracle_affiliation(pred, truth, 100)
         assert p == pytest.approx(op, abs=1e-9)
         assert r == pytest.approx(orr, abs=1e-9)
@@ -190,25 +190,16 @@ class TestAffiliation:
                 continue
             pred = (rng.uniform(size=T) < float(rng.uniform(0.05, 0.5))).astype(int)
             truth = metrics.events_from_labels(y)
-            p, r = metrics.affiliation_precision_recall(pred, truth, T)
+            p, r = metrics.affiliation_precision_recall(pred, truth)
             op, orr = oracle_affiliation(pred, truth, T)
             assert p == pytest.approx(op, abs=1e-9)
             assert r == pytest.approx(orr, abs=1e-9)
             checked += 1
 
-    def test_accepts_event_set_prediction(self):
-        y = np.zeros(50, dtype=int)
-        y[10:20] = 1
-        truth = metrics.events_from_labels(y)
-        pred_events = metrics.EventSet(length=50, intervals=((12, 18),))
-        a = metrics.affiliation_f1(pred_events, truth, 50)
-        b = metrics.affiliation_f1(pred_events.to_labels(), truth, 50)
-        assert a == b
-
     def test_empty_truth_rejected(self):
         with pytest.raises(MetricError):
             metrics.affiliation_f1(np.ones(5, dtype=int),
-                                   metrics.EventSet(length=5, intervals=()), 5)
+                                   metrics.EventSet(length=5, intervals=()))
 
 
 class TestUaff:
@@ -223,8 +214,8 @@ class TestUaff:
             y[start : start + 40] = 1
         truth = metrics.events_from_labels(y)
         pred = (rng.uniform(size=4000) < 0.1).astype(int)
-        p, r = metrics.affiliation_precision_recall(pred, truth, 4000)
-        p0, r0 = metrics.affiliation_random_baseline(truth, 4000, 0.1, draws=32, seed=9)
+        p, r = metrics.affiliation_precision_recall(pred, truth)
+        p0, r0 = metrics.affiliation_random_baseline(truth, 0.1, draws=32, seed=9)
         value = metrics.uaff_f1(p, r, p0, r0)
         assert abs(value) < 25.0
 
@@ -235,9 +226,9 @@ class TestUaff:
         pred = np.zeros(200, dtype=int)
         pred[0] = 1
         pred[199] = 1  # maximally far from the event
-        p, r = metrics.affiliation_precision_recall(pred, truth, 200)
+        p, r = metrics.affiliation_precision_recall(pred, truth)
         p0, r0 = metrics.affiliation_random_baseline(
-            truth, 200, float(pred.mean()), draws=32, seed=1
+            truth, float(pred.mean()), draws=32, seed=1
         )
         assert metrics.uaff_f1(p, r, p0, r0) < 0
 

@@ -116,14 +116,14 @@ class TestAgainstOracle:
     @given(predicted())
     def test_affiliation_f1(self, case):
         pred, truth, T = case
-        assert metrics.affiliation_f1(pred, truth, T) == oracle.affiliation_f1(pred, truth, T)
+        assert metrics.affiliation_f1(pred, truth) == oracle.affiliation_f1(pred, truth, T)
 
     @SETTINGS
     @given(labels(), st.sampled_from(RATES), st.integers(1, 40), st.integers(0, 2**16))
     def test_affiliation_random_baseline(self, y, rate, draws, seed):
         truth = metrics.events_from_labels(y)
         T = len(y)
-        assert metrics.affiliation_random_baseline(truth, T, rate, draws, seed) == \
+        assert metrics.affiliation_random_baseline(truth, rate, draws, seed) == \
             oracle.affiliation_random_baseline(truth, T, rate, draws, seed)
 
     @SETTINGS
@@ -141,7 +141,7 @@ class TestAgainstOracle:
         y = (make_rng(5).uniform(size=300) < 0.1).astype(np.int64)
         truth = metrics.events_from_labels(y)
         for rate in (0.02, 0.4):
-            assert metrics.affiliation_random_baseline(truth, 300, rate, 13, 7) == \
+            assert metrics.affiliation_random_baseline(truth, rate, 13, 7) == \
                 oracle.affiliation_random_baseline(truth, 300, rate, 13, 7)
 
     def test_best_f1_all_equal_scores(self):
@@ -175,7 +175,7 @@ def ranking_metrics(s, y):
     """Best F1, AUC-ROC, VUS-PR and the Aff-F1 at the best-F1 threshold."""
     f1, tau = metrics.best_f1(s, y)
     pred = (s > tau).astype(np.int64)
-    _, _, aff = metrics.affiliation_f1(pred, metrics.events_from_labels(y), len(y))
+    _, _, aff = metrics.affiliation_f1(pred, metrics.events_from_labels(y))
     return f1, metrics.auc_roc(s, y), metrics.vus_pr(s, y), aff
 
 
@@ -227,6 +227,4 @@ class TestAffiliationInputs:
     def test_truth_length_must_match_T(self):
         truth = metrics.EventSet(length=10, intervals=((2, 4),))
         with pytest.raises(ConfigError):
-            metrics.affiliation_precision_recall(np.zeros(12, dtype=int), truth, 12)
-        with pytest.raises(ConfigError):
-            metrics.affiliation_random_baseline(truth, 12, 0.1)
+            metrics.affiliation_precision_recall(np.zeros(12, dtype=int), truth)
