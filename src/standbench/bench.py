@@ -5,10 +5,10 @@ Determinism contract: a config plus its seed list maps to bitwise-identical
 result files. Per-cell randomness is derived as ``base_seed + run_seed`` for
 the synthetic data spec, the detector, and the metric Monte-Carlo baselines.
 Cells are cached under ``<output_dir>/cells/<digest>.json`` keyed only by the
-cell's own inputs and ``CACHE_VERSION``, so removing a detector from the config
-and rerunning reuses every other cell, a crash loses only the cells still being
-computed, and cells cached by code that computed them differently are not
-reused.
+cell's own inputs, ``CACHE_VERSION`` and ``ENVIRONMENT``, so removing a
+detector from the config and rerunning reuses every other cell, a crash loses
+only the cells still being computed, and cells cached by code, or by a numpy
+or BLAS build, that computed them differently are not reused.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ METRIC_COLUMNS = MetricReport.METRIC_ORDER  # Table order: CCE..VUS-PR
 # Part of every cell's cache key: bump it whenever a code change can alter a
 # cell's result, so cached cells from older code are recomputed, not reused.
 # Cells cached before the key carried a version count as version 1.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
+# Also in every cell's key: the numpy and BLAS builds, whose kernels round a
+# cell's last bits, so an upgrade recomputes cells instead of reusing them.
+_BLAS = np.show_config("dicts")["Build Dependencies"]["blas"]
+ENVIRONMENT = f"numpy {np.__version__}, {_BLAS['name']} {_BLAS['version']}"
 CI_Z = 1.96  # normal-approximation 95% interval over seeds
 
 
@@ -253,6 +257,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                 for seed in config.seeds:
                     cell_key = {
                         "version": CACHE_VERSION,
+                        "environment": ENVIRONMENT,
                         "dataset": dataset_entry,
                         "threshold": threshold,
                         "detector": detector_entry,

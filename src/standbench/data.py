@@ -10,7 +10,7 @@ import csv
 import itertools
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,15 @@ from .exceptions import ConfigError, IngestError, SplitError, config_float, conf
 from .ndcore import make_rng
 
 STD_FLOOR = 1e-8  # degenerate channels are clamped to this std
+
+
+def zero_one(values, what: str = "labels") -> np.ndarray:
+    """``values`` as an int64 array, once every value is exactly 0 or 1: a
+    fraction is an error, never truncated."""
+    values = np.asarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise ConfigError(f"{what} must be 0/1")
+    return values.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -34,13 +43,11 @@ class TimeSeriesDataset:
             raise ConfigError(f"dataset values must be 2-D (T, C), got {values.ndim}-D")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = zero_one(self.labels)
             if labels.shape != (values.shape[0],):
                 raise ConfigError(
                     f"labels length {labels.shape} does not match T={values.shape[0]}"
                 )
-            if not np.all((labels == 0) | (labels == 1)):
-                raise ConfigError("labels must be 0/1")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -105,14 +112,6 @@ class AnomalyEvent:
         object.__setattr__(self, "duration", config_int("duration", self.duration, 1))
         object.__setattr__(self, "magnitude", config_float("magnitude", self.magnitude))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start": self.start,
-            "duration": self.duration,
-            "magnitude": self.magnitude,
-        }
-
 
 ANOMALY_KINDS = ("spike", "level_shift", "variance_burst")
 
@@ -175,16 +174,9 @@ class SyntheticSpec:
                 raise ConfigError(f"anomaly intervals overlap near t={s1}")
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "C": self.C,
-            "seed": self.seed,
-            "sine_periods": list(self.sine_periods),
-            "ar_coeff": self.ar_coeff,
-            "noise_scale": self.noise_scale,
-            "anomalies": [ev.to_dict() for ev in self.anomalies],
-            "name": self.name,
-        }
+        doc = asdict(self)  # the tuple fields as the lists that JSON gives
+        return {**doc, "sine_periods": list(doc["sine_periods"]),
+                "anomalies": list(doc["anomalies"])}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticSpec":
@@ -261,10 +253,7 @@ def load_csv(path, label_column: str | None = "label") -> TimeSeriesDataset:
             f"{path}: row {r + 2}, column '{header[label_idx]}': "
             f"label must be 0 or 1, got {text.strip()!r}"
         )
-    return TimeSeriesDataset(
-        name=name, values=values,
-        labels=labels.astype(np.int64) if labels is not None else None,
-    )
+    return TimeSeriesDataset(name=name, values=values, labels=labels)
 
 
 def _bulk_cells(path: str, width: int) -> np.ndarray | None:

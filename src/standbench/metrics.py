@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .data import load_csv
+from .data import load_csv, zero_one
 from .exceptions import ConfigError, MetricError, config_int
 from .ndcore import make_rng
 
@@ -60,9 +60,7 @@ class EventSet:
 
 def events_from_labels(labels) -> EventSet:
     """Maximal anomalous runs of a 0/1 sequence as half-open intervals."""
-    y = np.asarray(labels, dtype=np.int64)
-    if not np.all((y == 0) | (y == 1)):
-        raise ConfigError("labels must be 0/1")
+    y = zero_one(labels)
     padded = np.concatenate([[0], y, [0]])
     diff = np.diff(padded)
     starts = np.flatnonzero(diff == 1)
@@ -71,10 +69,19 @@ def events_from_labels(labels) -> EventSet:
 
 
 def _check_two_classes(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.int64)
+    y = zero_one(labels)
     if y.min() == y.max():
         raise MetricError("metric undefined: labels contain a single class")
     return y
+
+
+def _scored(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Float scores and two-class 0/1 labels of equal length."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = _check_two_classes(labels)
+    if s.shape != y.shape:
+        raise ConfigError("scores and labels must have equal length")
+    return s, y
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +95,7 @@ def best_f1(scores, labels) -> tuple[float, float]:
     Candidates are exactly the distinct score values; a point is predicted
     anomalous when ``score > tau``.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if s.shape != y.shape:
-        raise ConfigError("scores and labels must have equal length")
+    s, y = _scored(scores, labels)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     cum_tp = np.cumsum(y[order])
@@ -108,8 +112,7 @@ def best_f1(scores, labels) -> tuple[float, float]:
 
 def auc_roc(scores, labels) -> float:
     """Mann-Whitney AUC with midrank tie handling, scaled to 0-100."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_two_classes(labels)
+    s, y = _scored(scores, labels)
     order = np.argsort(s, kind="stable")
     sorted_s = s[order]
     # tie group [i, j] of the sorted scores shares the midrank 0.5*(i+j) + 1
@@ -180,16 +183,17 @@ class _Zones:
         result (R, len(at)) is, for each query timestep q, the share of q's
         zone whose distance is >= dist[:, q].
         """
-        R = len(dist)
+        # row r owns the flat bins from r * self.bins on, so one cumsum over
+        # all rows counts the bins below each one; a row's counts are the
+        # differences within its own bins
+        rows = (np.arange(len(dist)) * self.bins)[:, None]
         bins = np.minimum(dist, self.n)
         bins += self.base
-        bins += (np.arange(R) * self.bins)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=R * self.bins).reshape(R, self.bins)
-        below = np.zeros((R, self.bins + 1), dtype=np.int64)  # below[:, b]: count in bins < b
-        np.cumsum(counts, axis=1, out=below[:, 1:])
-        q_base = self.base[at]
-        q_bin = q_base + np.minimum(dist[:, at], self.n[at])
-        closer = np.take_along_axis(below, q_bin, axis=1) - below[:, q_base]
+        bins += rows
+        flat = len(dist) * self.bins
+        below = np.zeros(flat + 1, dtype=np.int64)  # below[b]: count in flat bins < b
+        np.cumsum(np.bincount(bins.ravel(), minlength=flat), out=below[1:])
+        closer = below[bins[:, at]] - below[rows + self.base[at]]
         return (self.n[at] - closer) / self.n[at]
 
 
@@ -252,10 +256,10 @@ def affiliation_precision_recall(pred, truth: EventSet) -> tuple[float, float]:
     a zone without predictions contributes recall 0. ``pred`` is a 0/1
     sequence of the truth's length.
     """
-    p = np.asarray(pred, dtype=np.int64)
-    if p.shape != (truth.length,):
+    p = np.asarray(pred)
+    if p.shape != (truth.length,) or not np.all((p == 0) | (p == 1)):
         raise ConfigError(f"prediction must be a length-{truth.length} 0/1 sequence")
-    return _affiliation((p != 0)[None], _Zones(truth))[0]
+    return _affiliation((p == 1)[None], _Zones(truth))[0]
 
 
 def affiliation_f1(pred, truth: EventSet) -> tuple[float, float, float]:
@@ -303,7 +307,7 @@ def uaff_f1(precision: float, recall: float, baseline_precision: float,
 def soften_labels(labels, buffer: int) -> np.ndarray:
     """Relevance ramp: 1 inside events, decaying linearly to 0 over ``buffer``
     steps outside each event boundary (max over overlapping ramps)."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = zero_one(labels)
     r = y.astype(np.float64)
     if buffer == 0:
         return r
@@ -328,10 +332,7 @@ def vus_pr(scores, labels, buffer_max: int = DEFAULT_BUFFER_MAX) -> float:
     labels reaches area 1 at every buffer width. The score order, the cuts
     and the recall steps are shared by every width.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if s.shape != y.shape:
-        raise ConfigError("scores and labels must have equal length")
+    s, y = _scored(scores, labels)
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     cum_tp = np.cumsum(y[order].astype(np.float64))
@@ -361,10 +362,7 @@ def cce(scores, labels, auc: float | None = None) -> float:
     near 0 for random scores. ``auc`` is the scores' AUC-ROC when the caller
     already has it.
     """
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if s.shape != y.shape:
-        raise ConfigError("scores and labels must have equal length")
+    s, y = _scored(scores, labels)
     if auc is None:
         auc = auc_roc(s, y)
     lo, hi = float(s.min()), float(s.max())
@@ -437,15 +435,12 @@ def evaluate(scores, labels, config: MetricsConfig | None = None,
              metadata: dict | None = None) -> MetricReport:
     """All six metrics with a shared best-F1 threshold; deterministic given seed."""
     config = config or MetricsConfig()
-    s = np.asarray(scores, dtype=np.float64)
-    y = _check_two_classes(labels)
-    if s.shape != y.shape:
-        raise ConfigError("scores and labels must have equal length")
+    s, y = _scored(scores, labels)
     if not np.all(np.isfinite(s)):
         raise ConfigError("scores must be finite")
 
     f1, tau = best_f1(s, y)
-    pred = (s > tau).astype(np.int64)
+    pred = s > tau
     truth = events_from_labels(y)
     precision, recall, aff = affiliation_f1(pred, truth)
     p0, r0 = affiliation_random_baseline(

@@ -22,15 +22,12 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def sigmoid(x):
     """Numerically stable logistic function, exact for |x| up to ~1e3.
 
-    Uses the branch form 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) otherwise so
-    the exponential argument is never positive.
+    With e = e^-|x|, it is 1/(1+e) for x >= 0 and e/(1+e) otherwise, so the
+    exponential argument is never positive.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

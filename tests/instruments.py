@@ -50,11 +50,13 @@ def calibrate_gd_learning_rate(
 
 
 def timing_probe(config: stand.StandConfig, lengths, repeats: int = 11, seed: int = 0) -> np.ndarray:
-    """Wall-clock seconds of single-window forwards, shape (repeats, len(lengths)).
+    """CPU seconds of single-window forwards, shape (repeats, len(lengths)).
 
-    Each round times one forward at every length, in an order that reverses
-    from round to round, so every length samples the same phases of the
-    machine. One untimed warm-up pass per length precedes the rounds.
+    The clock is this process's CPU time, which other processes on the same
+    cores do not inflate as they do wall time. Each round times one forward
+    at every length, in an order that reverses from round to round, so every
+    length samples the same phases of the machine. One untimed warm-up pass
+    per length precedes the rounds.
     """
     rng = make_rng(seed)
     params = stand.init_params(config)
@@ -65,9 +67,9 @@ def timing_probe(config: stand.StandConfig, lengths, repeats: int = 11, seed: in
     for r in range(repeats):
         order = range(len(lengths)) if r % 2 == 0 else reversed(range(len(lengths)))
         for j in order:
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             stand.forward_batch(inputs[j], params, config)
-            times[r, j] = time.perf_counter() - t0
+            times[r, j] = time.process_time() - t0
     return times
 
 

@@ -101,7 +101,7 @@ class TestAcceptance:
         elapsed = time.perf_counter() - t0
         criterion(3, "complexity linearity",
                   flops_ratio == 8.0 and 4.0 <= ratio <= 16.0,
-                  f"flop ratio {flops_ratio:g} (exactly 8), wall-time ratio {ratio:.2f} in [4, 16]",
+                  f"flop ratio {flops_ratio:g} (exactly 8), CPU-time ratio {ratio:.2f} in [4, 16]",
                   elapsed, 60)
 
     def test_04_metric_sanity(self):

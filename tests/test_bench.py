@@ -899,8 +899,9 @@ PINNED_GRID = {
 # change that alters a cell fails here until it bumps CACHE_VERSION and re-pins
 # the digests, so no cache reuses a cell that older code computed. Like
 # GANG_CASES, the digests hold for one numpy/OpenBLAS build (numpy 2.4.6,
-# OpenBLAS 0.3.31).
-PINNED_CELLS = (3, {
+# OpenBLAS 0.3.31); another build is another bench.ENVIRONMENT, so its cells
+# have other keys.
+PINNED_CELLS = (4, {
     "kmeans": "349124707cff3d2b",
     "knn": "d04c700ef3a2b44f",
     "logreg": "a81c54d811c472a6",
@@ -930,6 +931,17 @@ class TestCacheVersion:
         bench.run_experiment(cfg)
         assert set(os.listdir(cells_dir)) == before
         monkeypatch.setattr(bench, "CACHE_VERSION", bench.CACHE_VERSION + 1)
+        bench.run_experiment(cfg)
+        after = set(os.listdir(cells_dir))
+        assert before < after and len(after) == 2 * len(before)
+
+    def test_environment_change_recomputes_cells(self, tmp_path, monkeypatch):
+        # a cell from another numpy or BLAS build is not reused
+        cfg = small_config(tmp_path, detectors=[{"kind": "random"}])
+        cells_dir = os.path.join(cfg.output_dir, "cells")
+        bench.run_experiment(cfg)
+        before = set(os.listdir(cells_dir))
+        monkeypatch.setattr(bench, "ENVIRONMENT", "numpy 0.0, other-blas 0.0")
         bench.run_experiment(cfg)
         after = set(os.listdir(cells_dir))
         assert before < after and len(after) == 2 * len(before)

@@ -148,6 +148,16 @@ def oracle_prefix_split(labels, threshold):
     return None
 
 
+class TestLabels:
+    def test_fractional_label_rejected(self):
+        with pytest.raises(ConfigError, match="labels must be 0/1"):
+            make_labeled(np.zeros((3, 1)), [0.5, 1.0, 0.0])
+
+    def test_boolean_labels_accepted(self):
+        ds = make_labeled(np.zeros((3, 1)), [False, True, False])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
+
+
 class TestPrefixSplit:
     def test_spec_example(self):
         ds = make_labeled(np.zeros((6, 1)), [0, 0, 1, 1, 0, 0])

@@ -401,3 +401,40 @@ class TestEvaluate:
         rep_rand = metrics.evaluate(random_scores, y, metrics.MetricsConfig(seed=1))
         for name in metrics.MetricReport.METRIC_ORDER:
             assert getattr(rep_good, name) > getattr(rep_rand, name)
+
+
+class TestInputChecks:
+    """Every metric takes its scores and labels through one check, and every
+    label or prediction sequence through one 0/1 rule: a fraction or a 2 is
+    an error, never truncated or read as 1."""
+
+    @pytest.mark.parametrize("metric", [metrics.best_f1, metrics.auc_roc, metrics.cce,
+                                        metrics.vus_pr, metrics.evaluate],
+                             ids=lambda fn: fn.__name__)
+    def test_length_mismatch_and_fractional_label_rejected(self, metric):
+        with pytest.raises(ConfigError, match="equal length"):
+            metric(np.arange(3.0), np.array([0, 1, 1, 0]))
+        with pytest.raises(ConfigError, match="labels must be 0/1"):
+            metric(np.arange(4.0), np.array([0.0, 1.0, 0.4, 0.0]))
+
+    @pytest.mark.parametrize("check", [metrics.events_from_labels,
+                                       lambda y: metrics.soften_labels(y, 2)],
+                             ids=["events_from_labels", "soften_labels"])
+    def test_fractional_label_rejected(self, check):
+        with pytest.raises(ConfigError, match="labels must be 0/1"):
+            check([0, 0.5, 1.0, 0])
+
+    def test_prediction_other_than_0_1_rejected(self):
+        truth = metrics.events_from_labels([0, 1, 0, 0])
+        with pytest.raises(ConfigError, match="length-4 0/1 sequence"):
+            metrics.affiliation_f1(np.array([0, 2, 0, 0]), truth)
+
+    def test_boolean_labels_and_predictions_accepted(self):
+        y = np.array([False, True, True, False, False, True])
+        s = np.array([0.1, 0.9, 0.8, 0.2, 0.3, 0.7])
+        ints = y.astype(np.int64)
+        assert metrics.evaluate(s, y).to_dict() == metrics.evaluate(s, ints).to_dict()
+        assert metrics.events_from_labels(y).intervals == ((1, 3), (5, 6))
+        assert np.array_equal(metrics.soften_labels(y, 1), metrics.soften_labels(ints, 1))
+        truth = metrics.events_from_labels(ints)
+        assert metrics.affiliation_f1(y, truth) == metrics.affiliation_f1(ints, truth)
