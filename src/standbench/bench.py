@@ -28,6 +28,7 @@ from .data import (
     NormStats,
     SyntheticSpec,
     TimeSeriesDataset,
+    atomic_open,
     generate_synthetic,
     load_csv,
     prefix_split,
@@ -223,10 +224,8 @@ def _mean_ci(values) -> dict:
 
 
 def atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def _cell_path(output_dir: str, payload: dict) -> str:

@@ -15,6 +15,7 @@ import struct
 
 import numpy as np
 
+from .data import atomic_open
 from .exceptions import IngestError
 
 MAGIC = b"SBCK"
@@ -30,7 +31,7 @@ def save_checkpoint(path, kind: str, config: dict, tensors: dict[str, np.ndarray
         "tensors": [{"name": n, "shape": list(tensors[n].shape)} for n in names],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -2,8 +2,9 @@
 bench / sweep / report.
 
 Exit codes: 0 success, 1 when some benchmark cells failed (the table is still
-written), 2 on configuration or ingestion errors, 3 when a forked worker died
-or failed (a grid keeps the cells of the groups that finished).
+written), 2 on configuration or ingestion errors or a path that cannot be read
+or written, 3 when a forked worker died or failed (a grid keeps the cells of
+the groups that finished). Two runs may share an output directory.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     except WorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StandbenchError, FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (StandbenchError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ import csv
 import itertools
 import os
 from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -281,6 +282,23 @@ def _bulk_cells(path: str, width: int) -> np.ndarray | None:
     return cells if cells.shape[1] == width else None
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``path`` whole or not at all, the one way the package writes: the
+    block writes a temporary file named for this process beside ``path``, which
+    replaces it when the block ends, or goes on any exception. Text is UTF-8."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    options = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **options) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(ds: TimeSeriesDataset, path, label_column: str = "label") -> None:
     """Inverse of :func:`load_csv`; floats are written with full repr precision.
 
@@ -288,7 +306,7 @@ def write_csv(ds: TimeSeriesDataset, path, label_column: str = "label") -> None:
     never needs quoting, so only the header goes through it. Rows are
     formatted 128 at a time: the text of 1024 rows at once left the heap of
     a process that wrote a 20000-row series 0.5 MB larger."""
-    with open(os.fspath(path), "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         header = [f"ch{j}" for j in range(ds.channels)]
         csv.writer(fh).writerow(header + [label_column] if ds.labeled else header)
         for lo in range(0, ds.length, 128):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .data import load_csv, zero_one
+from .data import atomic_open, load_csv, zero_one
 from .exceptions import ConfigError, MetricError, config_int
 from .ndcore import make_rng
 
@@ -466,7 +466,7 @@ def evaluate(scores, labels, config: MetricsConfig | None = None,
 
 
 def write_scores_csv(path, scores) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("t,score\n")
         for t, v in enumerate(np.asarray(scores, dtype=np.float64)):
             fh.write(f"{t},{float(v)!r}\n")
@@ -481,6 +481,6 @@ def read_scores_csv(path) -> np.ndarray:
 
 
 def write_report(path, report: MetricReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

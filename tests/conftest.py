@@ -1,3 +1,8 @@
+# First, before numpy loads: the package then sets its default of one BLAS
+# thread per process (unless the environment sets a count), so the tests run
+# as a user's commands do, and pool.workers forks where it would for them.
+import standbench  # noqa: F401
+
 import signal
 
 import numpy as np
@@ -109,7 +114,8 @@ def bounded():
 
 @pytest.fixture
 def one_blas_thread(monkeypatch):
-    """Run as if BLAS ran one thread per process, the package's default. pytest
-    loads numpy first, so the package leaves BLAS at what the environment
-    says, one thread per CPU when it says nothing, and then nothing forks."""
+    """Run as if BLAS ran one thread per process, the package's default, even
+    when the environment sets a BLAS thread count: pool.workers then forks as
+    it does with no count set, so the tests that use this cover the forked
+    path whatever the environment says."""
     monkeypatch.setattr(pool, "blas_threads", lambda: 1)

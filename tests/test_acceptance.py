@@ -8,6 +8,7 @@ each criterion stays inside its stated runtime budget.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestAcceptance:
             code = cli.main(["bench", "--config", str(cfg_path)])
             assert code == 0
             texts[run] = {
-                name: open(os.path.join(out_dir, f"determinism_results.{name}")).read()
+                name: Path(out_dir, f"determinism_results.{name}").read_text()
                 for name in ("json", "csv", "md")
             }
         identical = texts["a"] == texts["b"]

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,11 +130,11 @@ class TestRunExperiment:
         cfg = small_config(tmp_path)
         bench.run_experiment(cfg)
         results = os.path.join(cfg.output_dir, "mini_results.json")
-        first = open(results).read()
+        first = Path(results).read_text()
         mtime = os.path.getmtime(results)
         cells = os.listdir(os.path.join(cfg.output_dir, "cells"))
         table2, _ = bench.run_experiment(cfg)
-        assert open(results).read() == first
+        assert Path(results).read_text() == first
         assert sorted(os.listdir(os.path.join(cfg.output_dir, "cells"))) == sorted(cells)
 
     def test_removing_detector_reuses_other_cells(self, tmp_path):
@@ -304,7 +305,7 @@ class TestProcessPool:
             table, failures = bench.run_experiment(ExperimentConfig.from_dict(doc))
             assert not failures and len(table.rows) == 16
             files[cpus] = {os.path.relpath(os.path.join(root, name), out):
-                           open(os.path.join(root, name), "rb").read()
+                           Path(root, name).read_bytes()
                            for root, _, names in os.walk(out) for name in names}
         assert len(files[1]) == 16 + 3 and files[2] == files[1]
 
@@ -337,7 +338,7 @@ class TestProcessPool:
             table, failures = bench.run_experiment(ExperimentConfig.from_dict(doc))
             assert not failures and len(table.rows) == 4
             files[cpus] = {os.path.relpath(os.path.join(root, name), out):
-                           open(os.path.join(root, name), "rb").read()
+                           Path(root, name).read_bytes()
                            for root, _, names in os.walk(out) for name in names}
             if cpus == 2:
                 calls = [line.split() for line in log.read_text().splitlines()]
@@ -549,7 +550,7 @@ class TestReportRendering:
         table = self.subject_table()
         path = tmp_path / "t.json"
         bench.atomic_write(str(path), bench.render_table(table, "json"))
-        again = ResultsTable.from_dict(json.load(open(path)))
+        again = ResultsTable.from_dict(json.loads(path.read_text()))
         assert bench.render_table(again, "csv") == bench.render_table(table, "csv")
 
     def subject_table(self):
@@ -568,7 +569,7 @@ class TestSweeps:
         table, failures = bench.gain_sweep(cfg)
         assert not failures
         gain_csv = os.path.join(cfg.output_dir, "mini_gain.csv")
-        lines = open(gain_csv).read().splitlines()
+        lines = Path(gain_csv).read_text().splitlines()
         assert lines[0] == "detector,dataset,threshold,seed,mean_score"
         per_seed = [l for l in lines[1:] if l.startswith("logreg,mini,")
                     and len(l.split(",")) == 5]
@@ -596,7 +597,7 @@ class TestSweeps:
         table, failures = bench.sensitivity_sweep(cfg, "window", [12, 16])
         assert not failures
         path = os.path.join(cfg.output_dir, "mini_sens_window_plotdata.csv")
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "axis,value,dataset,metric,mean,ci_low,ci_high"
         assert len(lines) == 1 + 2 * 6  # 2 values x 6 metrics
         for line in lines[1:]:
@@ -637,30 +638,41 @@ class TestSweeps:
 
 
 class TestCli:
-    def test_generate_split_train_score_evaluate(self, tmp_path):
+    @pytest.mark.parametrize("entry", [
+        {"kind": "random"}, {"kind": "pca", "rank": 2}, {"kind": "knn"}, {"kind": "kmeans"},
+        {"kind": "logreg", "epochs": 100}, {**STAND, "batch_size": 64}], ids=lambda e: e["kind"])
+    def test_generate_split_train_score_evaluate(self, tmp_path, capsys, entry):
+        # the files the CLI writes and reads give the bench cell's six metrics, bit for bit
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(small_spec_dict()))
         data_path = tmp_path / "data.csv"
         assert cli.main(["generate", "--spec", str(spec_path), "--out", str(data_path)]) == 0
 
+        capsys.readouterr()
         assert cli.main(["split", "--data", str(data_path), "--threshold", "0.1"]) == 0
+        segment = f"{json.loads(capsys.readouterr().out)['train_end']}:"
 
         det_path = tmp_path / "det.json"
-        det_path.write_text(json.dumps({"kind": "logreg", "epochs": 100}))
+        det_path.write_text(json.dumps(entry))
         model_path = tmp_path / "model.ckpt"
         assert cli.main(["train", "--data", str(data_path), "--threshold", "0.1",
                          "--detector", str(det_path), "--out", str(model_path)]) == 0
 
         scores_path = tmp_path / "scores.csv"
         assert cli.main(["score", "--model", str(model_path), "--data", str(data_path),
-                         "--out", str(scores_path), "--segment", "500:900"]) == 0
+                         "--out", str(scores_path), "--segment", segment]) == 0
 
         report_path = tmp_path / "report.json"
         assert cli.main(["evaluate", "--scores", str(scores_path), "--data", str(data_path),
-                         "--out", str(report_path), "--segment", "500:900",
+                         "--out", str(report_path), "--segment", segment, "--buffer-max", "4",
                          "--mc-draws", "8"]) == 0
         report = json.loads(report_path.read_text())
-        assert set(MetricReport.METRIC_ORDER) <= set(report)
+        series = generate_synthetic(SyntheticSpec.from_dict(small_spec_dict()))
+        cell = bench._compute_cell(series, "mini@0.1", 0.1, entry, 0, small_config(tmp_path))
+        assert ({name: report[name] for name in MetricReport.METRIC_ORDER}
+                == {name: getattr(cell.report, name) for name in MetricReport.METRIC_ORDER})
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "det.json", "model.ckpt",
+                                                "report.json", "scores.csv", "spec.json"]
 
     def test_bench_and_report_commands(self, tmp_path):
         cfg = small_config(tmp_path, detectors=[{"kind": "random"}])
@@ -877,8 +889,41 @@ class TestCli:
             cfg_path = tmp_path / f"exp_{sub}.json"
             cfg_path.write_text(json.dumps(cfg.to_dict()))
             assert cli.main(["bench", "--config", str(cfg_path)]) == 0
-            texts.append(open(os.path.join(cfg.output_dir, "mini_results.json")).read())
+            texts.append(Path(cfg.output_dir, "mini_results.json").read_text())
         assert texts[0] == texts[1]
+
+    def test_two_bench_runs_share_an_output_directory(self, tmp_path):
+        # both runs write every cell and every table: each file is written whole
+        spec = {**small_spec_dict(T=600), "anomalies": small_spec_dict()["anomalies"][:5]}
+        doc = {**small_config(tmp_path, detectors=[{"kind": "random"}, {"kind": "pca", "rank": 1}],
+                              thresholds=(0.05,), seeds=range(60), name="race").to_dict(),
+               "datasets": [{"synthetic": spec}], "metrics": {}}  # no cell of it fails
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps(doc))
+        assert cli.main(["bench", "--config", str(single)]) == 0
+        tables = {ext: (tmp_path / "out" / f"race_results.{ext}").read_bytes()
+                  for ext in ("json", "csv", "md")}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(bench.__file__)), os.environ.get("PYTHONPATH")]))}
+        for attempt in range(5):
+            out = tmp_path / f"shared{attempt}"
+            config = tmp_path / f"shared{attempt}.json"
+            config.write_text(json.dumps({**doc, "output_dir": str(out)}))
+            runs = [subprocess.Popen([sys.executable, "-m", "standbench.cli", "bench", "--config",
+                                      str(config)], env=env, stdout=subprocess.DEVNULL,
+                                     stderr=subprocess.PIPE, text=True) for _ in range(2)]
+            try:
+                errors = [run.communicate(timeout=60)[1] for run in runs]
+            finally:
+                for run in runs:
+                    run.kill()  # a finished run is not signalled
+            assert [run.returncode for run in runs] == [0, 0], errors
+            cells = list((out / "cells").iterdir())
+            assert len(cells) == 120
+            for cell in cells:
+                bench.read_cell(str(cell))
+            assert {ext: (out / f"race_results.{ext}").read_bytes() for ext in tables} == tables
+            assert not list(out.rglob("*.tmp"))
 
 
 # One small grid with every detector kind, stand included.

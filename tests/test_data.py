@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from family import acceptance_spec, acceptance_spec_dict
-from standbench import data
+from standbench import bench, checkpoint, data
 from standbench.exceptions import ConfigError, IngestError, SplitError
 from standbench.ndcore import make_rng
 
@@ -135,6 +136,75 @@ class TestCsv:
         with pytest.raises(IngestError) as err:
             data.load_csv(p)
         assert str(err.value) == f"{p}: {message}"
+
+
+class TestAtomicOpen:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.usefixtures("bounded")
+    def test_interleaved_writers_both_finish(self, tmp_path):
+        # a child writes p and waits while this process writes p whole: the
+        # child still finishes, and the last writer to finish wins
+        path = tmp_path / "p.txt"
+        written, go = os.pipe(), os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                with data.atomic_open(path) as fh:
+                    fh.write("child\n")
+                    os.write(written[1], b"w")
+                    os.read(go[0], 1)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(written[1])  # the read below ends if the child dies first
+        try:
+            assert os.read(written[0], 1) == b"w"
+            bench.atomic_write(str(path), "parent\n")
+            assert path.read_text() == "parent\n"
+        finally:
+            os.write(go[1], b"g")
+            for fd in (written[0], go[0], go[1]):
+                os.close(fd)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert path.read_text() == "child\n"
+        assert os.listdir(tmp_path) == ["p.txt"]
+
+    def test_failure_mid_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"previous\n")
+        real_open = open
+
+        def opening(*args, **kwargs):  # the disk fills up after the header
+            fh = real_open(*args, **kwargs)
+            write = fh.write
+
+            def filling(text):
+                if not text.startswith("ch0"):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(text)
+
+            fh.write = filling
+            return fh
+
+        monkeypatch.setattr(data, "open", opening, raising=False)
+        ds = data.TimeSeriesDataset(name="t", values=np.ones((300, 2)), labels=np.zeros(300))
+        with pytest.raises(OSError):
+            data.write_csv(ds, path)
+        monkeypatch.undo()
+        # a binary writer too: a tensor that is not numeric fails after the header
+        with pytest.raises(ValueError):
+            checkpoint.save_checkpoint(tmp_path / "m.ckpt", "k", {}, {"a": np.array(["x"])})
+        assert path.read_bytes() == b"previous\n"
+        assert os.listdir(tmp_path) == ["s.csv"]
+
+    def test_new_files_get_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain", "w"):
+            pass
+        with data.atomic_open(tmp_path / "atomic", "wb"):
+            pass
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def oracle_prefix_split(labels, threshold):

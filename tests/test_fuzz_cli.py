@@ -83,7 +83,8 @@ def _fixtures():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.ckpt")
         bench.save_fitted(path, det, zscore_fit(ds, (0, 40)))
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     hlen = struct.unpack("<I", blob[4:8])[0]
     scores = [["t", "score"]] + [[t, repr(float(v))] for t, v in
                                  enumerate(np.random.default_rng(0).uniform(size=ds.length))]
@@ -221,3 +222,57 @@ def test_unmutated_input_succeeds(kind):
         _write_inputs(encode(doc))
         # the bench grid holds an unreachable 0.9 threshold, so some cells fail
         assert cli.main(argv("input", tmp)) == (1 if kind == "bench_config" else 0)
+
+
+# Every command, given valid inputs that _write_valid_inputs writes; a command
+# that writes a file takes its path after "--out".
+COMMANDS = {
+    "generate": ["generate", "--spec", "spec.json"],
+    "split": ["split", "--data", "series.csv", "--threshold", "0.1"],
+    "train": ["train", "--data", "series.csv", "--threshold", "0.1", "--detector", "detector.json"],
+    "score": ["score", "--model", "m.ckpt", "--data", "series.csv"],
+    "evaluate": ["evaluate", "--scores", "scores.csv", "--data", "series.csv", "--mc-draws", "2"],
+    "bench": ["bench", "--config", "config.json"],
+    "sweep": ["sweep", "--config", "config.json", "--kind", "gain"],
+    "report": ["report", "--table", "table.json"],
+}
+WRITERS = ["evaluate", "generate", "report", "score", "train"]
+INPUT_FILES = {"spec.json": _json(SPEC), "config.json": _json(CONFIG),
+               "m.ckpt": _checkpoint(HEADER), "table.json": _json(TABLE)}
+# (command, position) of every input path in COMMANDS
+INPUTS = [(command, i) for command, argv in COMMANDS.items() for i, arg in enumerate(argv)
+          if arg.endswith((".json", ".csv", ".ckpt"))]
+
+
+def _write_valid_inputs() -> list[str]:
+    """Every input COMMANDS reads, and a directory "d"; the files now in the work directory."""
+    _write_inputs(b"")
+    for name, blob in INPUT_FILES.items():
+        with open(name, "wb") as fh:
+            fh.write(blob)
+    os.mkdir("d")
+    return sorted(os.listdir())
+
+
+@pytest.mark.parametrize("out", ["d", os.path.join("missing", "f")], ids=["directory", "missing"])
+@pytest.mark.parametrize("command", WRITERS)
+def test_unwritable_output_exits_2_and_leaves_no_file(command, out, capsys):
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
+        files = _write_valid_inputs()
+        assert cli.main(COMMANDS[command] + ["--out", "written"]) == 0
+        assert sorted(os.listdir()) == sorted(files + ["written"])
+        capsys.readouterr()
+        assert cli.main(COMMANDS[command] + ["--out", out]) == 2
+        assert out in capsys.readouterr().err  # the error names the path
+        assert sorted(os.listdir()) == sorted(files + ["written"]) and os.listdir("d") == []
+
+
+@pytest.mark.parametrize("command, at", INPUTS, ids=[f"{c}{COMMANDS[c][i - 1]}" for c, i in INPUTS])
+def test_directory_as_input_exits_2(command, at, capsys):
+    argv = COMMANDS[command] + (["--out", "written"] if command in WRITERS else [])
+    argv[at] = "d"
+    with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
+        files = _write_valid_inputs()
+        assert cli.main(argv) == 2
+        assert "'d'" in capsys.readouterr().err
+        assert sorted(os.listdir()) == files
