@@ -80,6 +80,13 @@ class ExperimentConfig:
             dataset_source(entry)
         for entry in self.detectors:
             _build_seeded_detector(entry, 0)
+        # a row is told apart from the others by its detector, dataset and seed
+        for what, keys in (("detector label", [detector_label(d) for d in self.detectors]),
+                           ("dataset label", [dataset_label(d) for d in self.datasets]),
+                           ("seed", list(self.seeds))):
+            clash = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+            if clash is not None:
+                raise ConfigError(f"{what} {clash!r} repeats: the grid's rows must differ")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

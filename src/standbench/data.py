@@ -286,16 +286,19 @@ def _bulk_cells(path: str, width: int) -> np.ndarray | None:
 def atomic_open(path, mode: str = "w"):
     """Write ``path`` whole or not at all, the one way the package writes: the
     block writes a temporary file named for this process beside ``path``, which
-    replaces it when the block ends, or goes on any exception. Text is UTF-8."""
+    replaces it when the block ends, or goes on any exception. Text is UTF-8.
+    An error opening or replacing names ``path``, not the temporary file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     options = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
     try:
         with open(tmp, mode, **options) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # opening or replacing
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

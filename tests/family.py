@@ -20,8 +20,7 @@ distance-based unsupervised detectors on this family.
 
 import numpy as np
 
-from standbench import data
-from standbench.stand import StandConfig
+from standbench import bench, data
 
 MAGS = {"spike": 6.0, "level_shift": 1.8, "variance_burst": 4.0}
 OPEN_DURS = {"spike": 8, "level_shift": 28, "variance_burst": 19}
@@ -79,13 +78,6 @@ def acceptance_spec_dict(seed: int) -> dict:
     return acceptance_spec(seed).to_dict()
 
 
-def stand_config(seed: int, **overrides) -> StandConfig:
-    base = dict(input_channels=8, d_model=32, window=32, epochs=50,
-                batch_size=128, learning_rate=3e-3, optimizer="adam", seed=seed)
-    base.update(overrides)
-    return StandConfig(**base)
-
-
 STAND_DETECTOR_ENTRY = {
     "kind": "stand", "input_channels": 8, "d_model": 32, "window": 32,
     "epochs": 50, "batch_size": 128, "learning_rate": 3e-3,
@@ -100,3 +92,28 @@ UTAD_DETECTOR_ENTRIES = (
 )
 
 LOGREG_DETECTOR_ENTRY = {"kind": "logreg", "learning_rate": 0.1, "epochs": 2000}
+
+# The full, no-Bidir and no-TEM stand, labelled stand_full, stand_no_bidir and
+# stand_no_tem as the ablation sweep labels them.
+STAND_VARIANT_ENTRIES = tuple({**STAND_DETECTOR_ENTRY, **flags, "label": label}
+                              for label, flags in bench.ABLATION_VARIANTS.items())
+
+# The acceptance grids, one per split threshold, as a config is a full cross
+# product: every detector at 0.10, and the full stand alone at 0.40.
+ACCEPTANCE_DETECTORS = {
+    0.10: (*UTAD_DETECTOR_ENTRIES, LOGREG_DETECTOR_ENTRY, *STAND_VARIANT_ENTRIES),
+    0.40: STAND_VARIANT_ENTRIES[:1],
+}
+
+
+def acceptance_config(threshold: float, output_dir: str) -> bench.ExperimentConfig:
+    """The acceptance grid at ``threshold``: seeds 0-4 on the acceptance family,
+    default metrics."""
+    return bench.ExperimentConfig.from_dict({
+        "name": f"accept_{threshold:g}",
+        "datasets": [{"synthetic": acceptance_spec_dict(0)}],
+        "detectors": list(ACCEPTANCE_DETECTORS[threshold]),
+        "split_thresholds": [threshold],
+        "seeds": [0, 1, 2, 3, 4],
+        "output_dir": output_dir,
+    })

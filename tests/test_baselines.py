@@ -387,13 +387,13 @@ def fitted_round_trip(det, tmp_path):
 class TestCategoryOrdering:
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_supervised_beat_unsupervised_on_auc(self, acceptance_runs, seed):
+    def test_supervised_beat_unsupervised_on_auc(self, acceptance_grid, seed):
         # the module-level restatement of the labels-beat-models ordering:
         # both supervised detectors rank strictly above every unsupervised one
-        utad = {name: acceptance_runs.cell(name, seed).auc_roc
+        utad = {name: acceptance_grid.cell(name, seed).auc_roc
                 for name in ("random", "pca", "knn", "kmeans")}
-        stand_auc = acceptance_runs.cell("stand", seed).auc_roc
-        logreg_auc = acceptance_runs.cell("logreg", seed).auc_roc
+        stand_auc = acceptance_grid.cell("stand_full", seed).auc_roc
+        logreg_auc = acceptance_grid.cell("logreg", seed).auc_roc
         for name, value in utad.items():
             assert stand_auc > value, f"stand {stand_auc:.2f} <= {name} {value:.2f}"
             assert logreg_auc > value, f"logreg {logreg_auc:.2f} <= {name} {value:.2f}"

@@ -730,6 +730,9 @@ class TestCli:
         {"seeds": [0, -1]},
         {"detectors": [{"kind": "random", "seed": -1}]},
         {"metrics": {"buffer_max": 4, "mc_draws": 8, "seed": -1}},
+        {"detectors": [{"kind": "knn", "k": 1}, {"kind": "knn", "k": 20}]},
+        {"datasets": [{"synthetic": small_spec_dict()}, {"synthetic": small_spec_dict(seed=4)}]},
+        {"seeds": [0, 1, 0]},
         *(edit for edit, _ in BAD_SETTINGS.values()),
     ], ids=["detector_key", "stand_without_channels", "metrics_key", "zero_draws",
             "negative_buffer", "top_level_key", "float_int", "bool_int", "string_seed",
@@ -739,6 +742,7 @@ class TestCli:
             "synthetic_unknown_field", "synthetic_event_not_object", "synthetic_string_T",
             "output_dir_not_string", "label_not_string", "float_draws",
             "negative_run_seed", "negative_detector_seed", "negative_metrics_seed",
+            "shared_detector_label", "shared_dataset_label", "repeated_seed",
             *BAD_SETTINGS])
     def test_exit_code_two_on_malformed_bench_config(self, tmp_path, capsys, monkeypatch, edit):
         cfg = small_config(tmp_path)
@@ -796,6 +800,15 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(cfg_path), "--kind", "sensitivity",
                          "--axis", "window", "--values", "16,abc"]) == 2
         assert "error: --values" in capsys.readouterr().err
+
+    def test_exit_code_two_on_repeated_sweep_values(self, tmp_path, capsys):
+        # two values would give two detectors one label, so their rows could not be told apart
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(small_config(tmp_path).to_dict()))
+        assert cli.main(["sweep", "--config", str(cfg_path), "--kind", "sensitivity",
+                         "--axis", "window", "--values", "32,32"]) == 2
+        assert "error: detector label 'stand[window=32]' repeats" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("command, text", [
         ("bench --config", '{"name": '),

@@ -263,7 +263,8 @@ def test_unwritable_output_exits_2_and_leaves_no_file(command, out, capsys):
         assert sorted(os.listdir()) == sorted(files + ["written"])
         capsys.readouterr()
         assert cli.main(COMMANDS[command] + ["--out", out]) == 2
-        assert out in capsys.readouterr().err  # the error names the path
+        err = capsys.readouterr().err
+        assert out in err and ".tmp" not in err  # the error names the path given
         assert sorted(os.listdir()) == sorted(files + ["written"]) and os.listdir("d") == []
 
 
