@@ -5,7 +5,8 @@ Determinism contract: a config plus its seed list maps to bitwise-identical
 result files. Per-cell randomness is derived as ``base_seed + run_seed`` for
 the synthetic data spec, the detector, and the metric Monte-Carlo baselines.
 Cells are cached under ``<output_dir>/cells/<digest>.json`` keyed only by the
-cell's own inputs, ``CACHE_VERSION`` and ``ENVIRONMENT``, so removing a
+cell's own inputs (a CSV dataset by its bytes, not only its path),
+``CACHE_VERSION`` and ``ENVIRONMENT``, so removing a
 detector from the config and rerunning reuses every other cell, a crash loses
 only the cells still being computed, and cells cached by code, or by a numpy
 or BLAS build, that computed them differently are not reused.
@@ -240,6 +241,20 @@ def _cell_path(output_dir: str, payload: dict) -> str:
     return os.path.join(output_dir, "cells", digest + ".json")
 
 
+def _dataset_key(entry: dict) -> dict:
+    """A dataset entry as cell keys hold it. A path entry gains the sha256 of
+    its file's bytes, so an edited file's cells are recomputed; a file that
+    cannot be read gets None, and its cells fail with the load error."""
+    source = dataset_source(entry)
+    if isinstance(source, SyntheticSpec):
+        return entry
+    try:
+        with open(source[0], "rb") as fh:
+            return {**entry, "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    except OSError:
+        return {**entry, "sha256": None}
+
+
 def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     """Run every configured cell, reusing cached ones; returns (table, had_failures).
 
@@ -257,6 +272,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
     records = {}  # every distinct cell file -> its record, read once the groups ran
     groups: dict[tuple, list] = {}  # (dataset index, seed) -> uncached cells
     for index, dataset_entry in enumerate(config.datasets):
+        dataset_key = _dataset_key(dataset_entry)
         for threshold in config.split_thresholds:
             subset = f"{dataset_label(dataset_entry)}@{threshold:g}"
             for detector_entry in config.detectors:
@@ -264,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultsTable, bool]:
                     cell_key = {
                         "version": CACHE_VERSION,
                         "environment": ENVIRONMENT,
-                        "dataset": dataset_entry,
+                        "dataset": dataset_key,
                         "threshold": threshold,
                         "detector": detector_entry,
                         "seed": seed,

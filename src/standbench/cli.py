@@ -27,7 +27,8 @@ from .data import (
     zscore_apply,
 )
 from .exceptions import ConfigError, IngestError, StandbenchError, WorkerError
-from .metrics import MetricsConfig, evaluate, read_scores_csv, write_report, write_scores_csv
+from .metrics import (DEFAULT_BUFFER_MAX, DEFAULT_MC_DRAWS, MetricsConfig, evaluate,
+                      read_scores_csv, write_report, write_scores_csv)
 
 
 def _parse_segment(text: str | None, T: int) -> tuple[int, int]:
@@ -178,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segment", default=None, help="slice the labels like the score run")
     p.add_argument("--label-column", default="label")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer-max", type=int, default=8)
-    p.add_argument("--mc-draws", type=int, default=32)
+    p.add_argument("--buffer-max", type=int, default=DEFAULT_BUFFER_MAX)
+    p.add_argument("--mc-draws", type=int, default=DEFAULT_MC_DRAWS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bench", help="run a full experiment config")

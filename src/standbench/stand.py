@@ -292,7 +292,7 @@ def _lstm_weights(params, config: StandConfig) -> list[tuple]:
 
 
 def _step_rows(W: int, D: int, starts, T: int) -> np.ndarray:
-    """(W, D, B) row of a (4, D*T, d) projection of T series rows that each
+    """(W, D, B) row of a (4, D*T, d) projection of T input rows that each
     direction reads at each step: the forward direction's step s reads row
     start+s of its T rows, the backward one's start+W-1-s."""
     s = np.arange(W)
@@ -330,18 +330,23 @@ def _lstm_recurrence(step_gates, w_hh, c, tanh_c, h, outs):
             out[:, s] = h[cur, k]
 
 
-def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, keep: bool, proj=None, rows=None):
-    """LSTM layers over batch-major windows h (B, W, in) -> ((B, W, D*d), caches).
+def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, starts=None):
+    """LSTM layers -> ((B, W, D*d) batch-major output, caches); ``weights``
+    comes from ``_lstm_weights``.
 
-    ``weights`` comes from ``_lstm_weights``. ``proj`` (4, D*T, d) and
-    ``rows`` (W, D, B) stand in for layer 0's working projection and the
-    rows its steps read: ``infer`` projects the span of series rows a batch
-    covers, and passes no ``h``.
+    Training passes batch-major windows h (B, W, in) and keeps every step for
+    BPTT. Inference passes the series rows (T, in) its windows cover and the
+    windows' ``starts`` into them, and keeps only the latest step: each layer
+    projects its T input rows in one GEMM of at least two rows, which gives
+    each row the bits of a whole-series projection, so no score depends on
+    the batching; each step then gathers its rows (``_step_rows``). A layer
+    above the first reads the windows below laid end to end.
     """
     D, d = len(config.directions), config.d_model
+    keep = starts is None
     caches: list[_LstmCache] = []
     for layer, (w_ih, w_hh, b) in enumerate(weights):
-        if proj is None:
+        if keep:
             B, W = h.shape[:2]
             # each direction's input step-major in its processing order: one
             # GEMM projects it, and step s is a basic slice of the result
@@ -353,9 +358,15 @@ def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, keep: bool, pro
             gates += b[:, :, None]
             step_gates = lambda s: gates[:, :, s]
         else:
-            W, _, B = rows.shape
+            x = h.reshape(-1, h.shape[-1])
+            B, W, T = len(starts), config.window, len(x)
+            proj = ws.array(f"lstm.{layer}.proj", (4, D, T, d))
+            np.matmul(x, w_ih, out=proj)
+            proj += b
+            proj, rows = proj.reshape(4, D * T, d), _step_rows(W, D, starts, T)
             gates = ws.array(f"lstm.{layer}.gates", (4, D, B, d))
             step_gates = lambda s: np.take(proj, rows[s], axis=1, out=gates, mode="clip")
+            starts = W * np.arange(B)
         n = W if keep else 1
         c = ws.array(f"lstm.{layer}.c", (n + 1, D, B, d))
         steps = ws.array(f"lstm.{layer}.h", (n + 1, D, B, d))
@@ -367,7 +378,7 @@ def _lstm_stack(h, weights, config: StandConfig, ws: _Workspace, keep: bool, pro
                          [_in_order(out[:, :, k], k) for k in range(D)])
         if keep:
             caches.append(_LstmCache(x=h, gates=gates, c=c, tanh_c=tanh_c, h=steps))
-        h, proj = out.reshape(B, W, D * d), None
+        h = out.reshape(B, W, D * d)
     return h, caches
 
 
@@ -389,8 +400,7 @@ def forward_batch(
     h_embed, embed_caches = _embed(x_in, params, config, ws=ws)
     h_enc, lstm_caches = h_embed, []
     if config.use_tem:
-        h_enc, lstm_caches = _lstm_stack(h_embed, _lstm_weights(params, config), config, ws,
-                                         keep=True)
+        h_enc, lstm_caches = _lstm_stack(h_embed, _lstm_weights(params, config), config, ws)
     logits = np.matmul(h_enc, params["head.w"], out=ws.rows_array("logits", x.shape[:2]))
     logits += params["head.b"][0]
     return logits, ForwardTrace(
@@ -784,9 +794,9 @@ def infer(
 
     Returns logits; apply a sigmoid for the probability view. The default
     stride W/2 overlaps windows, which smooths scores at window seams. Each
-    timestep is embedded once; each batch projects the span of rows its
-    windows cover into the first LSTM layer, the windows read those rows by
-    index, and no backward trace is kept.
+    timestep is embedded once; each LSTM layer projects the rows a batch's
+    windows cover once, the windows read those rows by index, and no
+    backward trace is kept.
 
     When the work pays for it (``pool.workers``), the batches run on a
     ``pool.Gang`` with this process as worker 0: the series is embedded
@@ -835,20 +845,9 @@ def _score_batch(h, weights, params, config: StandConfig, starts, out, workspace
         # one window would send the recurrent product to a matrix-vector
         # kernel that rounds unlike the GEMM of larger batches: run it twice
         starts = np.repeat(starts, 2)
-    if weights is not None:
-        # the rows the windows cover, at least W >= 2 of them: a GEMM of two
-        # or more rows gives each row the bits of a whole-series projection,
-        # so no score depends on batch_size, and the buffer is bounded by the
-        # batch, not the series
-        D, d = len(config.directions), config.d_model
-        w_ih, _, b = weights[0]
-        first, span = starts[0], starts[-1] + W - starts[0]
-        proj = workspace.array("infer.proj", (4, D, span, d))
-        np.matmul(h[first : first + span], w_ih, out=proj)
-        proj += b
-        h_enc, _ = _lstm_stack(None, weights, config, workspace, keep=False,
-                               proj=proj.reshape(4, D * span, d),
-                               rows=_step_rows(W, D, starts - first, span))
+    if weights is not None:  # the span of rows the windows cover, at least W >= 2 of them
+        h_enc, _ = _lstm_stack(h[starts[0] : starts[-1] + W], weights, config, workspace,
+                               starts=starts - starts[0])
     else:
         h_enc = h[starts[:, None] + np.arange(W)]
     # batch-major (B, W, .) head: a per-window matvec, the same for any batch grouping

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from standbench.bench import ExperimentConfig, ResultsTable
 from standbench.data import (SyntheticSpec, generate_synthetic, write_csv, zscore_apply,
                              zscore_fit)
 from standbench.exceptions import ConfigError, IngestError, WorkerError
-from standbench.metrics import MetricReport, write_scores_csv
+from standbench.metrics import MetricReport, MetricsConfig, write_scores_csv
 from standbench.ndcore import make_rng
 
 
@@ -187,6 +188,42 @@ class TestRunExperiment:
         table, failures = bench.run_experiment(cfg)
         assert not failures
         assert {row.dataset for row in table.rows} == {"series@0.1"}
+
+    def test_edited_csv_is_not_served_from_the_cache(self, tmp_path):
+        # a path entry's cells are keyed by the file's bytes, not only by its path
+        spec = small_spec_dict(T=600)
+        spec["anomalies"] = [event for event in spec["anomalies"] if event["start"] < 600]
+        ds = generate_synthetic(SyntheticSpec.from_dict(spec))
+        path = tmp_path / "series.csv"
+        write_csv(ds, path)
+
+        def report(out):
+            cfg = ExperimentConfig.from_dict({
+                "name": "csvrun", "datasets": [{"path": str(path)}],
+                "detectors": [{"kind": "pca", "rank": 1}], "split_thresholds": [0.02],
+                "seeds": [0], "output_dir": str(tmp_path / out), "metrics": {"mc_draws": 4}})
+            table, failures = bench.run_experiment(cfg)
+            assert not failures
+            return table.rows[0].report.to_dict()
+
+        before = report("out")
+        values = ds.values.copy()
+        values[400:421] += 5.0
+        write_csv(replace(ds, values=values), path)
+        after = report("out")
+        assert after != before
+        assert after == report("fresh")
+
+    def test_unreadable_csv_fails_its_cells_until_it_can_be_read(self, tmp_path):
+        path = tmp_path / "series.csv"
+        cfg = ExperimentConfig.from_dict({
+            "name": "csvrun", "datasets": [{"path": str(path)}],
+            "detectors": [{"kind": "random"}], "split_thresholds": [0.1], "seeds": [0],
+            "output_dir": str(tmp_path / "out"), "metrics": {"mc_draws": 4}})
+        table, failures = bench.run_experiment(cfg)
+        assert failures and "no such file" in table.rows[0].error
+        write_csv(generate_synthetic(SyntheticSpec.from_dict(small_spec_dict())), path)
+        assert not bench.run_experiment(cfg)[1]  # the failed cell is not reused
 
 
 @pytest.fixture(params=["in_process", "pool"])
@@ -638,6 +675,12 @@ class TestSweeps:
 
 
 class TestCli:
+    def test_evaluate_defaults_are_the_metrics_defaults(self):
+        args = cli.build_parser().parse_args(["evaluate", "--scores", "s", "--data", "d",
+                                              "--out", "o"])
+        default = MetricsConfig()
+        assert (args.buffer_max, args.mc_draws) == (default.buffer_max, default.mc_draws)
+
     @pytest.mark.parametrize("entry", [
         {"kind": "random"}, {"kind": "pca", "rank": 2}, {"kind": "knn"}, {"kind": "kmeans"},
         {"kind": "logreg", "epochs": 100}, {**STAND, "batch_size": 64}], ids=lambda e: e["kind"])

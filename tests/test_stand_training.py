@@ -218,11 +218,15 @@ def train_digest(result) -> str:
     return digest.hexdigest()[:16]
 
 
-def gang_windows(T, config, stride=2):
+def gang_series(T, config):
     spec = data.SyntheticSpec(T=T, C=config.input_channels, seed=4, anomalies=(
         {"kind": "spike", "start": T // 3, "duration": 5, "magnitude": 6.0},
         {"kind": "level_shift", "start": T // 2, "duration": 9, "magnitude": 2.0}))
-    return data.make_windows(data.generate_synthetic(spec), config.window, stride)
+    return data.generate_synthetic(spec)
+
+
+def gang_windows(T, config, stride=2):
+    return data.make_windows(gang_series(T, config), config.window, stride)
 
 
 GANG_BASE = dict(input_channels=3, d_model=8, window=8, epochs=3, batch_size=16, seed=2)
@@ -242,6 +246,27 @@ GANG_CASES = {
     "acceptance_size": (dict(input_channels=8, d_model=32, window=32, batch_size=128, seed=3),
                         940, 3, "da76b0be0fe43956"),  # 304 windows: a last batch of 48
 }
+
+INFER_BASE = dict(input_channels=3, d_model=32, window=16, seed=2)
+# name: (tem_layers, stride, digest of stand.infer's scores when the layers
+# above the first still ran the training layout). Over T=300, stride 1 gives
+# 285 windows (a last batch of 29) and the default stride W/2 gives 36. Like
+# GANG_CASES, the digests hold for one numpy/OpenBLAS build.
+INFER_CASES = {
+    "one_layer_stride_1": (1, 1, "fbfb50edf51d1726"),
+    "one_layer_default_stride": (1, None, "d404ba4ad6267f70"),
+    "two_layers_stride_1": (2, 1, "dfd143742dd4d1c7"),
+    "two_layers_default_stride": (2, None, "dd05bbdcd941b801"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFER_CASES))
+def test_infer_matches_pinned_digest(name):
+    layers, stride, want = INFER_CASES[name]
+    cfg = stand.StandConfig(**INFER_BASE, tem_layers=layers)
+    x = gang_series(300, cfg).values
+    scores = stand.infer(x, stand.init_params(cfg), cfg, stride=stride)
+    assert hashlib.sha256(scores.tobytes()).hexdigest()[:16] == want
 
 
 @pytest.fixture
